@@ -138,9 +138,9 @@ Status HashAggregateOp::OpenImpl() {
   // visited in selection order (ascending), so group insertion order and
   // floating-point accumulation order match the row path exactly.
   // Gated on the plan-wide knob, not on child_->vectorized(): a row-only
-  // child (merge band join) still serves NextVector through the
-  // transpose fallback, and the columnar key/argument evaluation wins
-  // even when the input arrives as transposed batches.
+  // child (window, sort) still serves NextVector through the transpose
+  // default, and the columnar key/argument evaluation wins even on
+  // transposed rows.
   if (vector_exec_enabled()) {
     std::vector<Vector> key_vecs(group_by_.size());
     std::vector<Vector> arg_vecs(aggregates_.size());
@@ -271,38 +271,36 @@ Status HashAggregateOp::OpenImpl() {
     return Status::OK();
   }
 
-  // Batch pull keeps the aggregation streaming (only the accumulators
-  // are buffered, never the input).
-  RowBatch batch;
-  bool input_eof = false;
-  while (!input_eof) {
-    RFV_RETURN_IF_ERROR(child_->NextBatch(&batch, &input_eof));
-    for (size_t bi = 0; bi < batch.size(); ++bi) {
-      const Row& row = batch.row(bi);
-      std::vector<Value> key;
-      key.reserve(group_by_.size());
-      for (const ExprPtr& g : group_by_) {
-        Value v;
-        RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*g, row));
-        key.push_back(std::move(v));
-      }
-      size_t gi;
-      const auto it = group_index.find(key);
-      if (it != group_index.end()) {
-        gi = it->second;
+  // Row pull keeps the aggregation streaming (only the accumulators are
+  // buffered, never the input).
+  Row row;
+  while (true) {
+    bool input_eof = false;
+    RFV_RETURN_IF_ERROR(child_->Next(&row, &input_eof));
+    if (input_eof) break;
+    std::vector<Value> key;
+    key.reserve(group_by_.size());
+    for (const ExprPtr& g : group_by_) {
+      Value v;
+      RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*g, row));
+      key.push_back(std::move(v));
+    }
+    size_t gi;
+    const auto it = group_index.find(key);
+    if (it != group_index.end()) {
+      gi = it->second;
+    } else {
+      gi = new_group(key);
+      group_index.emplace(std::move(key), gi);
+    }
+    std::vector<Accumulator>& accs = group_accs[gi];
+    for (size_t i = 0; i < aggregates_.size(); ++i) {
+      if (aggregates_[i].is_count_star) {
+        accs[i].AddRowForCountStar();
       } else {
-        gi = new_group(key);
-        group_index.emplace(std::move(key), gi);
-      }
-      std::vector<Accumulator>& accs = group_accs[gi];
-      for (size_t i = 0; i < aggregates_.size(); ++i) {
-        if (aggregates_[i].is_count_star) {
-          accs[i].AddRowForCountStar();
-        } else {
-          Value v;
-          RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*aggregates_[i].arg, row));
-          accs[i].Add(v);
-        }
+        Value v;
+        RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*aggregates_[i].arg, row));
+        accs[i].Add(v);
       }
     }
   }

@@ -389,7 +389,7 @@ Status MergeBandJoinOp::OpenImpl() {
   RFV_RETURN_IF_ERROR(right_->Open());
   right_width_ = right_->schema().NumColumns();
 
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows_));
+  RFV_RETURN_IF_ERROR(right_->DrainTo(&right_rows_));
   NoteBufferedRows(right_rows_.size());
 
   keys_.reserve(right_rows_.size());
@@ -400,7 +400,7 @@ Status MergeBandJoinOp::OpenImpl() {
   }
   // Base tables in sequence order (the common case for the paper's pos
   // column) arrive already sorted — detect in O(m) and skip the sort.
-  // The check runs on right_rows_, which DrainChild filled from the
+  // The check runs on right_rows_, which DrainTo filled from the
   // right scan's PINNED snapshot, so the ordered-skip decision and the
   // rows it indexes are the same frozen version even when live storage
   // mutates (or compacts out of order) mid-query.
@@ -428,7 +428,7 @@ Status MergeBandJoinOp::OpenImpl() {
 
   // Vector-native output: transpose the (snapshot-stable) right side
   // once into columnar gather-source lanes. The row array stays alive
-  // for the row/batch pull styles.
+  // for the row pull style.
   if (vectorized()) {
     right_vp_.Reset(right_width_, right_rows_.size());
     for (size_t id = 0; id < right_rows_.size(); ++id) {
@@ -670,13 +670,7 @@ Status MergeBandJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
              left_lane_pos_ >= left_vp_->NumSelected()) {
         if (left_input_eof_) goto drained;
         bool child_eof = false;
-        if (left_->vectorized()) {
-          RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, &child_eof));
-        } else {
-          RFV_RETURN_IF_ERROR(left_->NextBatch(&left_batch_, &child_eof));
-          left_src_vp_.FromBatch(left_width, left_batch_);
-          left_vp_ = &left_src_vp_;
-        }
+        RFV_RETURN_IF_ERROR(left_->NextVector(&left_vp_, &child_eof));
         left_input_eof_ = child_eof;
         left_lane_pos_ = 0;
         if (left_vp_ != nullptr && left_vp_->NumSelected() == 0) {

@@ -147,22 +147,15 @@ Result<PhysicalOperatorPtr> BuildJoin(const LogicalPlan& plan,
   PhysicalOperatorPtr right;
   RFV_ASSIGN_OR_RETURN(right, BuildPhysicalPlan(right_plan, options));
 
-  // Hash or sort-merge join on equi conjuncts (hash preferred).
-  if ((options.enable_hash_join || options.enable_sort_merge_join) &&
-      plan.join_condition != nullptr) {
+  // Hash join on equi conjuncts.
+  if (options.enable_hash_join && plan.join_condition != nullptr) {
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
     ExprPtr residual;
     ExtractEquiKeys(plan.join_condition->Clone(), left_width, &left_keys,
                     &right_keys, &residual);
     if (!left_keys.empty()) {
-      if (options.enable_hash_join) {
-        return PhysicalOperatorPtr(new HashJoinOp(
-            plan.schema, std::move(left), std::move(right),
-            std::move(left_keys), std::move(right_keys),
-            std::move(residual), plan.join_type));
-      }
-      return PhysicalOperatorPtr(new SortMergeJoinOp(
+      return PhysicalOperatorPtr(new HashJoinOp(
           plan.schema, std::move(left), std::move(right),
           std::move(left_keys), std::move(right_keys), std::move(residual),
           plan.join_type));
@@ -268,14 +261,17 @@ Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
   // nested-loop join consumes the right-side scan without an operator;
   // that estimate is intentionally dropped with it).
   op->SetEstimatedRows(plan.est_rows);
-  // Stamp the pull style: drivers and batch consumers pull this operator
-  // through NextVector iff it is columnar-native and the knob is on.
+  // Stamp the pull style: DrainTo and the joins' probe sides pull this
+  // operator through NextVector iff it is columnar-native and the knob
+  // is on.
   op->SetVectorized(options.use_vectorized_execution && op->VectorNative());
   op->SetVectorExecEnabled(options.use_vectorized_execution);
   return op;
 }
 
 namespace {
+
+int64_t InclusiveNs(const OperatorMetrics& m) { return m.open_ns + m.next_ns; }
 
 void CollectMetricsInto(const PhysicalOperator& op, int depth,
                         std::vector<OperatorMetricsEntry>* out) {
@@ -286,9 +282,13 @@ void CollectMetricsInto(const PhysicalOperator& op, int depth,
   entry.depth = depth;
   entry.est_rows = op.estimated_rows();
   entry.metrics = op.metrics();
+  int64_t children_ns = 0;
   for (const PhysicalOperator* child : children) {
     entry.rows_in += child->metrics().rows_out;
+    children_ns += InclusiveNs(child->metrics());
   }
+  entry.self_ns =
+      std::max<int64_t>(0, InclusiveNs(entry.metrics) - children_ns);
   out->push_back(std::move(entry));
   for (const PhysicalOperator* child : children) {
     CollectMetricsInto(*child, depth + 1, out);
@@ -323,15 +323,15 @@ std::string FormatMetricsLine(const std::string& label,
   std::snprintf(
       line, sizeof(line),
       "%-24s rows_in=%-9lld rows_out=%-9lld est=%-9s next_calls=%-9lld "
-      "batches=%-6lld vectors=%-6lld open_ms=%-8.3f next_ms=%-8.3f "
+      "vectors=%-6lld open_ms=%-8.3f next_ms=%-8.3f self_ms=%-8.3f "
       "peak_buffered=%lld\n",
       label.c_str(), static_cast<long long>(e.rows_in),
       static_cast<long long>(e.metrics.rows_out), est,
       static_cast<long long>(e.metrics.next_calls),
-      static_cast<long long>(e.metrics.batches_out),
       static_cast<long long>(e.metrics.vectors_out),
       static_cast<double>(e.metrics.open_ns) / 1e6,
       static_cast<double>(e.metrics.next_ns) / 1e6,
+      static_cast<double>(e.self_ns) / 1e6,
       static_cast<long long>(e.metrics.peak_buffered_rows));
   return line;
 }
@@ -377,6 +377,7 @@ std::string FormatMetricsRollup(
     total.metrics.vectors_out += e.metrics.vectors_out;
     total.metrics.open_ns += e.metrics.open_ns;
     total.metrics.next_ns += e.metrics.next_ns;
+    total.self_ns += e.self_ns;
     total.metrics.peak_buffered_rows =
         std::max(total.metrics.peak_buffered_rows,
                  e.metrics.peak_buffered_rows);
@@ -427,14 +428,52 @@ std::string FormatMetricsTree(
   return out;
 }
 
-namespace {
-
-Counter* BatchesCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter(
-      "rfv_exec_batches_total", {},
-      "Row batches drained from query plan roots by the batch driver");
-  return c;
+Status PhysicalOperator::NextVectorImpl(VectorProjection** out, bool* eof) {
+  size_t n = 0;
+  while (n < kVectorCapacity) {
+    if (n == fallback_rows_.size()) fallback_rows_.emplace_back();
+    RFV_RETURN_IF_ERROR(NextImpl(&fallback_rows_[n], eof));
+    if (*eof) break;
+    ++n;
+  }
+  fallback_vp_.FromRows(schema_.NumColumns(), fallback_rows_.data(), n);
+  *out = &fallback_vp_;
+  return Status::OK();
 }
+
+Status PhysicalOperator::DrainTo(std::vector<Row>* out) {
+  if (vectorized()) {
+    while (true) {
+      VectorProjection* vp = nullptr;
+      bool eof = false;
+      RFV_RETURN_IF_ERROR(NextVector(&vp, &eof));
+      if (vp != nullptr) vp->AppendSelectedTo(out);
+      if (eof) return Status::OK();
+    }
+  }
+  ++metrics_.next_calls;
+  if (exhausted_) return Status::OK();
+  const auto start = std::chrono::steady_clock::now();
+  const size_t before = out->size();
+  Status status;
+  while (true) {
+    // Produce straight into the output slot; the EOF (or failing) call
+    // leaves one slot behind to pop.
+    out->emplace_back();
+    bool eof = false;
+    status = NextImpl(&out->back(), &eof);
+    if (!status.ok() || eof) {
+      out->pop_back();
+      break;
+    }
+  }
+  metrics_.next_ns += ElapsedNs(start);
+  metrics_.rows_out += static_cast<int64_t>(out->size() - before);
+  if (status.ok()) exhausted_ = true;
+  return status;
+}
+
+namespace {
 
 Counter* VectorsCounter() {
   static Counter* c = MetricsRegistry::Global().GetCounter(
@@ -446,8 +485,7 @@ Counter* VectorsCounter() {
 
 }  // namespace
 
-Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
-                                         bool use_batches) {
+Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op) {
   {
     TraceSpan open_span("exec.open");
     if (open_span.active()) open_span.AddArg("root", op->name());
@@ -455,75 +493,19 @@ Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
   }
   TraceSpan drain_span("exec.drain");
   std::vector<Row> rows;
-  if (op->vectorized()) {
-    // Columnar root drain: rows materialize only here, at the plan
-    // boundary, from whatever survived the selection vectors.
-    while (true) {
-      VectorProjection* vp = nullptr;
-      bool eof = false;
-      RFV_RETURN_IF_ERROR(op->NextVector(&vp, &eof));
-      if (vp != nullptr && vp->NumSelected() > 0) {
-        VectorsCounter()->Increment();
-        vp->AppendSelectedTo(&rows);
-      }
-      if (eof) break;
-    }
-  } else if (use_batches) {
-    RowBatch batch;
-    while (true) {
-      bool eof = false;
-      RFV_RETURN_IF_ERROR(op->NextBatch(&batch, &eof));
-      if (!batch.empty()) {
-        BatchesCounter()->Increment();
-        for (size_t i = 0; i < batch.size(); ++i) {
-          rows.push_back(std::move(batch.row(i)));
-        }
-      }
-      if (eof) break;
-    }
-  } else {
-    while (true) {
-      Row row;
-      bool eof = false;
-      RFV_RETURN_IF_ERROR(op->Next(&row, &eof));
-      if (eof) break;
-      rows.push_back(std::move(row));
-    }
-  }
+  RFV_RETURN_IF_ERROR(op->DrainTo(&rows));
+  if (op->vectorized()) VectorsCounter()->Increment(op->metrics().vectors_out);
   if (drain_span.active()) {
     drain_span.AddArg("rows", std::to_string(rows.size()));
   }
   return rows;
 }
 
-Status DrainChild(PhysicalOperator* child, std::vector<Row>* out) {
-  if (child->vectorized()) {
-    while (true) {
-      VectorProjection* vp = nullptr;
-      bool eof = false;
-      RFV_RETURN_IF_ERROR(child->NextVector(&vp, &eof));
-      if (vp != nullptr) vp->AppendSelectedTo(out);
-      if (eof) break;
-    }
-    return Status::OK();
-  }
-  RowBatch batch;
-  while (true) {
-    bool eof = false;
-    RFV_RETURN_IF_ERROR(child->NextBatch(&batch, &eof));
-    for (size_t i = 0; i < batch.size(); ++i) {
-      out->push_back(std::move(batch.row(i)));
-    }
-    if (eof) break;
-  }
-  return Status::OK();
-}
-
 Result<std::vector<Row>> ExecutePlan(const LogicalPlan& plan,
                                      const ExecOptions& options) {
   PhysicalOperatorPtr op;
   RFV_ASSIGN_OR_RETURN(op, BuildPhysicalPlan(plan, options));
-  return ExecuteToVector(op.get(), options.use_batch_execution);
+  return ExecuteToVector(op.get());
 }
 
 }  // namespace rfv

@@ -10,7 +10,6 @@
 #include "common/row.h"
 #include "common/schema.h"
 #include "common/status.h"
-#include "exec/batch.h"
 #include "exec/vector.h"
 #include "plan/logical_plan.h"
 
@@ -19,22 +18,22 @@ namespace rfv {
 /// Per-operator execution counters, maintained by the PhysicalOperator
 /// base class (wall times, row/call counts) and by the operators
 /// themselves (peak buffered rows, reported by the materializing ones).
-/// Cheap enough to keep always-on: two steady_clock reads per Next.
+/// Cheap enough to keep always-on: two steady_clock reads per pull.
 struct OperatorMetrics {
-  int64_t rows_out = 0;    ///< rows produced through Next/NextBatch/NextVector
-  int64_t next_calls = 0;  ///< pull invocations, incl. the EOF call
-  /// NextBatch calls that produced rows; NextVector calls that produced a
-  /// projection with a non-empty selection count here too.
+  int64_t rows_out = 0;    ///< rows produced through Next/NextVector/DrainTo
+  /// Pull invocations, incl. the EOF call; a row-style DrainTo counts
+  /// as one.
+  int64_t next_calls = 0;
+  /// NextVector calls that produced a projection with a non-empty
+  /// selection. Equal to vectors_out; kept for readers of the
+  /// operator-metrics record.
   int64_t batches_out = 0;
-  /// NextVector calls that produced a non-empty projection — the
-  /// vector-only slice of batches_out, so EXPLAIN ANALYZE shows which
-  /// operators actually ran columnar (a vectorized join emitting
-  /// vectors=N, batches=N; a transpose-fallback operator still counts
-  /// here because it *answers* NextVector, but its children's zero stays
-  /// zero under a batch drain).
+  /// NextVector calls that produced a non-empty projection, so EXPLAIN
+  /// ANALYZE shows which operators actually ran columnar (a transpose
+  /// fallback counts here too because it *answers* NextVector).
   int64_t vectors_out = 0;
   int64_t open_ns = 0;     ///< wall time inside Open (incl. children)
-  int64_t next_ns = 0;     ///< cumulative wall time inside Next (ditto)
+  int64_t next_ns = 0;     ///< cumulative wall time inside pulls (ditto)
   /// High-water mark of rows materialized by this operator (sort
   /// buffers, hash tables, window/join materializations); 0 for
   /// streaming operators.
@@ -43,19 +42,18 @@ struct OperatorMetrics {
   void Reset() { *this = OperatorMetrics(); }
 };
 
-/// Pull-based (Volcano-style) physical operator. Lifecycle:
-/// Open() once, then one of the three pull styles until *eof — Next()
-/// (row-at-a-time), NextBatch() (RowBatch-at-a-time) or NextVector()
-/// (columnar VectorProjection); destructor releases state. A driver
-/// picks ONE pull style per operator instance and sticks with it —
-/// interleaving them on the same operator is undefined.
+/// Pull-based (Volcano-style) physical operator. Lifecycle: Open()
+/// once, then one of the two pull styles until *eof — Next()
+/// (row-at-a-time) or NextVector() (columnar VectorProjection) — or one
+/// DrainTo(); the destructor releases state. A driver picks ONE pull
+/// style per operator instance and sticks with it — interleaving them
+/// on the same operator is undefined.
 ///
-/// Open/Next/NextBatch/NextVector are non-virtual shells that maintain
-/// OperatorMetrics and delegate to the *Impl overrides; white-box users
-/// (tests, the executor driver) keep calling the shells as before.
-/// NextBatchImpl has a default row-loop fallback and NextVectorImpl a
-/// default transpose-a-batch fallback, so operators without native
-/// implementations work unchanged under any driver.
+/// Open/Next/NextVector/DrainTo are non-virtual shells that maintain
+/// OperatorMetrics and delegate to the *Impl overrides. NextVectorImpl
+/// has a default that transposes rows from NextImpl, so an operator
+/// with only a row implementation works under either driver.
+/// DESIGN.md §16 states the contract.
 class PhysicalOperator {
  public:
   explicit PhysicalOperator(Schema schema) : schema_(std::move(schema)) {}
@@ -69,9 +67,7 @@ class PhysicalOperator {
     exhausted_ = false;
     const auto start = std::chrono::steady_clock::now();
     Status status = OpenImpl();
-    metrics_.open_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+    metrics_.open_ns += ElapsedNs(start);
     return status;
   }
 
@@ -80,48 +76,9 @@ class PhysicalOperator {
   Status Next(Row* row, bool* eof) {
     const auto start = std::chrono::steady_clock::now();
     Status status = NextImpl(row, eof);
-    metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+    metrics_.next_ns += ElapsedNs(start);
     ++metrics_.next_calls;
     if (status.ok() && !*eof) ++metrics_.rows_out;
-    return status;
-  }
-
-  /// Produces up to batch->capacity() rows into *batch (cleared first).
-  ///
-  /// EOF contract (this is THE batch-protocol contract; every consumer
-  /// must honor it):
-  ///  - *eof = true means the stream is exhausted, and the SAME call may
-  ///    also have produced rows: LimitOp reports eof together with the
-  ///    batch that reached the limit, UnionAllOp together with the last
-  ///    child's final batch, TableScanOp together with the final chunk.
-  ///    Consumers therefore drain the batch FIRST and test eof second;
-  ///    treating eof as "no data" silently drops the final batch.
-  ///  - *eof = false with an empty batch is legal (operators usually
-  ///    loop internally, but consumers must not treat empty as done).
-  ///  - Calling again after eof is safe and yields an empty eof batch
-  ///    (the shell's `exhausted_` latch guarantees this even for
-  ///    operators whose Impl would misbehave on re-entry).
-  Status NextBatch(RowBatch* batch, bool* eof) {
-    batch->Clear();
-    if (exhausted_) {
-      *eof = true;
-      ++metrics_.next_calls;
-      return Status::OK();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    *eof = false;
-    Status status = NextBatchImpl(batch, eof);
-    metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    ++metrics_.next_calls;
-    if (status.ok()) {
-      metrics_.rows_out += static_cast<int64_t>(batch->size());
-      if (!batch->empty()) ++metrics_.batches_out;
-      if (*eof) exhausted_ = true;
-    }
     return status;
   }
 
@@ -132,10 +89,16 @@ class PhysicalOperator {
   /// projection's SelectionVector in place (that is the zero-copy filter
   /// protocol) but must not touch the column data.
   ///
-  /// EOF contract — same shape as NextBatch: *eof = true may accompany a
-  /// non-empty projection (drain first, test eof second); an empty or
-  /// null projection with *eof = false is legal; calls after eof are
-  /// safe and yield *out = nullptr with *eof = true.
+  /// EOF contract (every consumer must honor it):
+  ///  - *eof = true may accompany a non-empty projection: LimitOp
+  ///    reports eof together with the vector that reached the limit,
+  ///    UnionAllOp together with the last child's final vector,
+  ///    TableScanOp together with the final chunk. Consumers therefore
+  ///    drain the projection FIRST and test eof second.
+  ///  - An empty or null projection with *eof = false is legal.
+  ///  - Calls after eof are safe and yield *out = nullptr with *eof =
+  ///    true (the shell's `exhausted_` latch guarantees this even for
+  ///    operators whose Impl would misbehave on re-entry).
   Status NextVector(VectorProjection** out, bool* eof) {
     *out = nullptr;
     if (exhausted_) {
@@ -146,9 +109,7 @@ class PhysicalOperator {
     const auto start = std::chrono::steady_clock::now();
     *eof = false;
     Status status = NextVectorImpl(out, eof);
-    metrics_.next_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+    metrics_.next_ns += ElapsedNs(start);
     ++metrics_.next_calls;
     if (status.ok()) {
       const size_t produced = (*out != nullptr) ? (*out)->NumSelected() : 0;
@@ -162,25 +123,32 @@ class PhysicalOperator {
     return status;
   }
 
+  /// Appends every remaining row of this already-open operator to *out:
+  /// the one drain used by the executor root and by the materializing
+  /// operators (sort, window, join build sides). A vectorized()
+  /// operator is drained through NextVector, honoring its EOF contract;
+  /// any other runs a tight loop over its own NextImpl with one clock
+  /// pair for the whole drain. Later pulls report eof.
+  Status DrainTo(std::vector<Row>* out);
+
   /// True when this operator implements NextVectorImpl natively (columns
   /// + selection vector all the way down). Operators without a native
   /// implementation still answer NextVector through the transpose
-  /// fallback, but the planner only marks natively-columnar subtrees as
-  /// vectorized() so blocking operators keep their tuned batch drains.
+  /// default, but the planner only marks natively-columnar subtrees as
+  /// vectorized(), so the others are drained row-wise.
   virtual bool VectorNative() const { return false; }
 
-  /// Whether the executor driver should pull this operator through
-  /// NextVector. Stamped by BuildPhysicalPlan as `options.exec.
-  /// use_vectorized_execution && VectorNative()`; consumers (root drain,
-  /// DrainChild, aggregation ingest) dispatch on it.
+  /// Whether drivers pull this operator through NextVector. Stamped by
+  /// BuildPhysicalPlan as `options.exec.use_vectorized_execution &&
+  /// VectorNative()`; DrainTo dispatches on it.
   void SetVectorized(bool v) { vectorized_ = v; }
   bool vectorized() const { return vectorized_; }
 
   /// The raw `exec.use_vectorized_execution` knob, stamped on every
   /// operator of the plan (independent of VectorNative). Operators that
   /// merely *ingest* columns — HashAggregateOp's build phase — dispatch
-  /// on this so a row-only child (e.g. the merge band join) still feeds
-  /// their typed accumulation loops through the transpose fallback.
+  /// on this so a row-only child (e.g. a window) still feeds their
+  /// typed accumulation loops through the transpose default.
   void SetVectorExecEnabled(bool v) { vector_exec_enabled_ = v; }
   bool vector_exec_enabled() const { return vector_exec_enabled_; }
 
@@ -209,38 +177,12 @@ class PhysicalOperator {
   virtual Status OpenImpl() = 0;
   virtual Status NextImpl(Row* row, bool* eof) = 0;
 
-  /// Default batch production: a tight row loop over NextImpl (NOT the
-  /// Next shell — the shell's clock reads and counters must not be paid
-  /// twice). Rows are produced directly into the batch's retained slots
-  /// (NextSlot/CommitSlot) instead of through a fresh stack Row per
-  /// iteration, so the transpose-fallback pipeline reuses its row
-  /// storage across NextBatch/NextVector calls. Batch-native operators
-  /// override this and typically pull their child through NextBatch.
-  virtual Status NextBatchImpl(RowBatch* batch, bool* eof) {
-    while (!batch->full()) {
-      Row* slot = batch->NextSlot();
-      bool row_eof = false;
-      RFV_RETURN_IF_ERROR(NextImpl(slot, &row_eof));
-      if (row_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-      batch->CommitSlot();
-    }
-    return Status::OK();
-  }
-
-  /// Default vector production: run NextBatchImpl into an operator-owned
-  /// RowBatch and transpose it — the adapter that lets row/batch-only
-  /// operators (sort, window, joins) serve a vectorized consumer.
-  /// Vector-native operators override this with true columnar pipelines.
-  virtual Status NextVectorImpl(VectorProjection** out, bool* eof) {
-    fallback_batch_.Clear();
-    RFV_RETURN_IF_ERROR(NextBatchImpl(&fallback_batch_, eof));
-    fallback_vp_.FromBatch(schema_.NumColumns(), fallback_batch_);
-    *out = &fallback_vp_;
-    return Status::OK();
-  }
+  /// Default vector production: a tight loop over NextImpl (NOT the Next
+  /// shell, whose clock reads must not be paid twice) into pooled rows,
+  /// transposed with VectorProjection::FromRows. This adapter lets
+  /// row-only operators (sort, window, nested-loop joins) serve a
+  /// vectorized consumer; vector-native operators override it.
+  virtual Status NextVectorImpl(VectorProjection** out, bool* eof);
 
   /// Raises the buffered-rows high-water mark (materializing operators
   /// call this after filling their buffers).
@@ -253,16 +195,23 @@ class PhysicalOperator {
   Schema schema_;
 
  private:
+  static int64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  }
+
   OperatorMetrics metrics_;
   double estimated_rows_ = -1;
-  /// Set once NextBatch/NextVector reports eof; guards re-entry into the
-  /// Impl after exhaustion (the protocol allows a non-empty final
-  /// batch/vector, so drivers may legally call once more).
+  /// Set once NextVector reports eof or DrainTo finishes; guards
+  /// re-entry into the Impl after exhaustion (the protocol allows a
+  /// non-empty final vector, so drivers may legally call once more).
   bool exhausted_ = false;
   bool vectorized_ = false;
   bool vector_exec_enabled_ = false;
-  /// Scratch for the default NextVectorImpl transpose fallback.
-  RowBatch fallback_batch_;
+  /// Row pool and output of the default NextVectorImpl; reused across
+  /// calls.
+  std::vector<Row> fallback_rows_;
   VectorProjection fallback_vp_;
 };
 
@@ -279,17 +228,22 @@ struct OperatorMetricsEntry {
   /// printed as `est=` next to the measured rows_out.
   double est_rows = -1;
   OperatorMetrics metrics;
+  /// Exclusive time: open_ns + next_ns minus the same sum over the
+  /// direct children, clamped at 0. Printed as `self_ms=`.
+  int64_t self_ns = 0;
 };
 
-/// Flattens the operator tree (pre-order) into metrics entries.
+/// Flattens the operator tree (pre-order) into metrics entries, with
+/// each entry's exclusive time filled in.
 std::vector<OperatorMetricsEntry> CollectMetrics(
     const PhysicalOperator& root);
 
 /// Renders a metrics report as an indented ASCII table, one operator per
 /// line:
 ///   window            rows_in=100000 rows_out=100000 ... open_ms=12.3
-/// Times are reported in milliseconds with the child time included
-/// (wall time is measured around the recursive Open/Next calls).
+/// Times are reported in milliseconds. open_ms/next_ms include the
+/// child time (wall time is measured around the recursive Open/Next
+/// calls); self_ms excludes it.
 std::string FormatMetricsReport(
     const std::vector<OperatorMetricsEntry>& entries);
 
@@ -322,23 +276,16 @@ struct ExecOptions {
   /// self-join patterns. Considered before the index nested-loop probe;
   /// falls through when the condition has no band shape.
   bool enable_merge_band_join = true;
-  /// Drive query execution batch-at-a-time (RowBatch, ~1024 rows) to
-  /// amortize per-row virtual dispatch and metric clock reads. Off =
-  /// the row-at-a-time Volcano driver; results are identical (the fuzz
-  /// harness diffs the two paths).
+  /// Ignored. The batch pull style it selected no longer exists; the
+  /// field stays only so existing callers that set or read it compile.
   bool use_batch_execution = true;
-  /// Drive vector-native operators (scan/filter/project/limit/union-all)
-  /// through the columnar NextVector protocol: expressions evaluate in
-  /// typed per-vector loops and filters narrow a SelectionVector instead
-  /// of copying rows. Takes precedence over use_batch_execution for the
-  /// subtrees it covers; non-native operators keep their row/batch
-  /// drains. Off = the PR 5 paths, kept alive as differential-testing
-  /// fallbacks (the fuzz harness "batch" and "vector" oracles replay
-  /// every query with this knob off).
+  /// Drive vector-native operators (scan/filter/project/limit/union-all
+  /// and the band/hash joins) through the columnar NextVector protocol:
+  /// expressions evaluate in typed per-vector loops and filters narrow a
+  /// SelectionVector instead of copying rows. Off = the row-at-a-time
+  /// Volcano path, kept as the differential-testing reference (the fuzz
+  /// harness "vector" oracle replays every query with this knob off).
   bool use_vectorized_execution = true;
-  /// Sort-merge join for equi joins; consulted when the hash join is
-  /// disabled or skipped (hash is the default equi strategy).
-  bool enable_sort_merge_join = false;
   /// Worker count for partition-parallel window evaluation: 1 = always
   /// single-threaded, n > 1 = split partitions across up to n tasks on
   /// the shared thread pool, 0 = auto (hardware concurrency). Results
@@ -358,22 +305,15 @@ struct ExecOptions {
 Result<PhysicalOperatorPtr> BuildPhysicalPlan(const LogicalPlan& plan,
                                               const ExecOptions& options = {});
 
-/// Runs an operator tree to completion. Roots stamped vectorized() are
-/// drained through NextVector (counting projections in the
-/// rfv_exec_vectors_total metric and materializing rows only at this
-/// boundary); otherwise `use_batches` selects the pull style: true
-/// drains through NextBatch (rfv_exec_batches_total), false through
-/// Next.
-Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op,
-                                         bool use_batches = true);
+/// Opens an operator tree and runs it to completion with DrainTo. A
+/// vectorized() root adds its projections to the rfv_exec_vectors_total
+/// metric.
+Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op);
 
-/// Appends every remaining row of an already-open `child` to *out — the
-/// shared input drain of the materializing operators (sort, window,
-/// join build sides), so their children run batch-at-a-time (or, when
-/// the child is stamped vectorized(), columnar) even under a
-/// row-at-a-time root. Honors the NextBatch/NextVector EOF contract:
-/// the final batch/vector is drained before eof is acted on.
-Status DrainChild(PhysicalOperator* child, std::vector<Row>* out);
+/// Compatibility overload: the flag is ignored.
+inline Result<std::vector<Row>> ExecuteToVector(PhysicalOperator* op, bool) {
+  return ExecuteToVector(op);
+}
 
 /// Convenience: build + run.
 Result<std::vector<Row>> ExecutePlan(const LogicalPlan& plan,

@@ -21,7 +21,7 @@ Status NestedLoopJoinOp::OpenImpl() {
   RFV_RETURN_IF_ERROR(left_->Open());
   RFV_RETURN_IF_ERROR(right_->Open());
   right_width_ = right_->schema().NumColumns();
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &right_rows_));
+  RFV_RETURN_IF_ERROR(right_->DrainTo(&right_rows_));
   NoteBufferedRows(right_rows_.size());
   return Status::OK();
 }
@@ -564,7 +564,7 @@ Status HashJoinOp::OpenImpl() {
   right_width_ = right_->schema().NumColumns();
   if (vectorized()) return OpenVectorized();
   std::vector<Row> build_rows;
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &build_rows));
+  RFV_RETURN_IF_ERROR(right_->DrainTo(&build_rows));
   size_t buffered = 0;
   for (Row& row : build_rows) {
     std::vector<Value> key;
@@ -587,7 +587,7 @@ Status HashJoinOp::OpenImpl() {
 
 Status HashJoinOp::OpenVectorized() {
   std::vector<Row> build_rows;
-  RFV_RETURN_IF_ERROR(DrainChild(right_.get(), &build_rows));
+  RFV_RETURN_IF_ERROR(right_->DrainTo(&build_rows));
   const size_t n = build_rows.size();
 
   // Transpose the build side once into columnar lanes: the gather
@@ -719,13 +719,7 @@ Status HashJoinOp::NextVectorImpl(VectorProjection** out, bool* eof) {
              probe_lane_pos_ >= probe_vp_->NumSelected()) {
         if (probe_input_eof_) goto drained;
         bool child_eof = false;
-        if (left_->vectorized()) {
-          RFV_RETURN_IF_ERROR(left_->NextVector(&probe_vp_, &child_eof));
-        } else {
-          RFV_RETURN_IF_ERROR(left_->NextBatch(&probe_batch_, &child_eof));
-          probe_src_vp_.FromBatch(left_width, probe_batch_);
-          probe_vp_ = &probe_src_vp_;
-        }
+        RFV_RETURN_IF_ERROR(left_->NextVector(&probe_vp_, &child_eof));
         probe_input_eof_ = child_eof;
         probe_lane_pos_ = 0;
         if (probe_vp_ != nullptr && probe_vp_->NumSelected() == 0) {

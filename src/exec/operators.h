@@ -22,8 +22,8 @@ namespace rfv {
 
 /// Full scan over a base table. Open pins the table's committed
 /// snapshot (chunked copy-on-write image) plus a reader epoch, so the
-/// scan reads a stable statement-granular image of the table in all
-/// three pull styles while concurrent DML mutates the live row store.
+/// scan reads a stable statement-granular image of the table in both
+/// pull styles while concurrent DML mutates the live row store.
 /// Close releases the pin, letting the EpochManager reclaim superseded
 /// snapshots.
 class TableScanOp : public PhysicalOperator {
@@ -38,7 +38,6 @@ class TableScanOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
@@ -68,7 +67,6 @@ class FilterOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   /// Zero-copy: narrows the child projection's selection vector in place
   /// and passes the projection through.
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
@@ -76,10 +74,6 @@ class FilterOp : public PhysicalOperator {
  private:
   PhysicalOperatorPtr child_;
   ExprPtr predicate_;
-  // Batch path: rows pulled from the child, consumed at input_pos_.
-  RowBatch input_;
-  size_t input_pos_ = 0;
-  bool child_eof_ = false;
 };
 
 class ProjectOp : public PhysicalOperator {
@@ -99,16 +93,11 @@ class ProjectOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
   PhysicalOperatorPtr child_;
   std::vector<ExprPtr> projections_;
-  // Batch path: rows pulled from the child, consumed at input_pos_.
-  RowBatch input_;
-  size_t input_pos_ = 0;
-  bool child_eof_ = false;
   /// Vector path: output columns evaluated from the child projection;
   /// shares the child's row positions and selection.
   VectorProjection out_vp_;
@@ -389,16 +378,12 @@ class MergeBandJoinOp : public PhysicalOperator {
   /// NextVector calls.
   VectorProjection out_vp_;
   VectorProjection residual_scratch_;
-  /// Left-input staging: the current left projection is child-owned
-  /// when the left child is vectorized, else the transpose of
-  /// left_batch_ into left_src_vp_.
-  RowBatch left_batch_;
-  VectorProjection left_src_vp_;
+  /// The current left projection (owned by the left child).
   VectorProjection* left_vp_ = nullptr;
   size_t left_lane_pos_ = 0;    ///< next selection slot in left_vp_
   uint32_t current_lane_ = 0;   ///< current left row position in left_vp_
   bool left_input_eof_ = false;
-  size_t vector_capacity_ = RowBatch::kDefaultCapacity;
+  size_t vector_capacity_ = kVectorCapacity;
 };
 
 /// Hash join on equi-key conjuncts (inner / left outer) with optional
@@ -477,8 +462,6 @@ class HashJoinOp : public PhysicalOperator {
   /// Probe-side staging, pooled output lanes, and per-lane match state.
   VectorProjection out_vp_;
   VectorProjection residual_scratch_;
-  RowBatch probe_batch_;
-  VectorProjection probe_src_vp_;
   VectorProjection* probe_vp_ = nullptr;
   std::vector<Vector> probe_key_vecs_;
   std::vector<uint64_t> probe_hashes_;
@@ -487,64 +470,7 @@ class HashJoinOp : public PhysicalOperator {
   bool probe_input_eof_ = false;
   std::vector<size_t> vec_candidates_;
   size_t vec_candidate_pos_ = 0;
-  size_t vector_capacity_ = RowBatch::kDefaultCapacity;
-};
-
-/// Sort-merge join on equi-key conjuncts (inner / left outer) with an
-/// optional residual condition: both inputs are materialized, sorted by
-/// their key vectors, and merged with duplicate-block re-scanning.
-/// NULL keys never match (SQL equi-join semantics).
-class SortMergeJoinOp : public PhysicalOperator {
- public:
-  SortMergeJoinOp(Schema schema, PhysicalOperatorPtr left,
-                  PhysicalOperatorPtr right, std::vector<ExprPtr> left_keys,
-                  std::vector<ExprPtr> right_keys, ExprPtr residual,
-                  JoinType join_type)
-      : PhysicalOperator(std::move(schema)),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)),
-        join_type_(join_type) {}
-  const char* name() const override { return "sort_merge_join"; }
-  void AppendChildren(
-      std::vector<const PhysicalOperator*>* out) const override {
-    out->push_back(left_.get());
-    out->push_back(right_.get());
-  }
-
- protected:
-  Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
-
- private:
-  struct Keyed {
-    std::vector<Value> key;
-    Row row;
-    bool has_null_key = false;
-  };
-
-  Status Materialize(PhysicalOperator* input,
-                     const std::vector<ExprPtr>& keys,
-                     std::vector<Keyed>* out);
-
-  PhysicalOperatorPtr left_;
-  PhysicalOperatorPtr right_;
-  std::vector<ExprPtr> left_keys_;
-  std::vector<ExprPtr> right_keys_;
-  ExprPtr residual_;
-  JoinType join_type_;
-
-  std::vector<Keyed> left_rows_;
-  std::vector<Keyed> right_rows_;
-  size_t li_ = 0;            ///< current left row
-  size_t rblock_start_ = 0;  ///< first right row of the matching block
-  size_t rblock_end_ = 0;    ///< one past the matching block
-  size_t rpos_ = 0;          ///< cursor within the block
-  bool block_valid_ = false;
-  bool left_matched_ = false;
-  size_t right_width_ = 0;
+  size_t vector_capacity_ = kVectorCapacity;
 };
 
 /// Full-materialization stable sort.
@@ -680,7 +606,6 @@ class UnionAllOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
@@ -704,7 +629,6 @@ class LimitOp : public PhysicalOperator {
  protected:
   Status OpenImpl() override;
   Status NextImpl(Row* row, bool* eof) override;
-  Status NextBatchImpl(RowBatch* batch, bool* eof) override;
   /// Truncates the child projection's selection to the rows remaining
   /// under the limit and passes the projection through.
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;

@@ -12,7 +12,7 @@ Status SortOp::OpenImpl() {
   RFV_RETURN_IF_ERROR(child_->Open());
 
   std::vector<Row> rows;
-  RFV_RETURN_IF_ERROR(DrainChild(child_.get(), &rows));
+  RFV_RETURN_IF_ERROR(child_->DrainTo(&rows));
   std::vector<std::vector<Value>> keys;
   keys.reserve(rows.size());
   for (const Row& row : rows) {

@@ -38,10 +38,11 @@ void Vector::SetValue(size_t i, const Value& v) {
   }
 }
 
-void VectorProjection::FromBatch(size_t num_columns, const RowBatch& batch) {
-  Reset(num_columns, batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Row& row = batch.row(i);
+void VectorProjection::FromRows(size_t num_columns, const Row* rows,
+                                size_t count) {
+  Reset(num_columns, count);
+  for (size_t i = 0; i < count; ++i) {
+    const Row& row = rows[i];
     RFV_CHECK_MSG(row.size() == num_columns,
                   "row width " << row.size() << " != projection width "
                                << num_columns);

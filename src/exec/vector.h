@@ -9,9 +9,15 @@
 #include "common/logging.h"
 #include "common/row.h"
 #include "common/value.h"
-#include "exec/batch.h"
 
 namespace rfv {
+
+/// Rows per vector: the most rows one NextVector call produces (scans,
+/// the transpose default, join outputs). Large enough to amortize
+/// per-call overhead, small enough to stay cache-resident for typical
+/// row widths. TableSnapshot's chunk size equals it (asserted in
+/// exec/scan.cc), so one scan vector reads exactly one chunk.
+inline constexpr size_t kVectorCapacity = 1024;
 
 /// One column of a VectorProjection: a fixed-length array of scalar
 /// cells in structure-of-arrays layout. Each element carries its own
@@ -19,8 +25,8 @@ namespace rfv {
 /// lane) because the engine's INSERT path stores values without coercing
 /// them to the declared column type — an INTEGER literal inserted into a
 /// DOUBLE column stays an int64 cell, and materialized rows must
-/// reproduce those exact tags for the row/batch/vector execution modes
-/// to be byte-identical.
+/// reproduce those exact tags for the row and vector execution modes to
+/// be byte-identical.
 ///
 /// Numeric and boolean payloads live in dedicated lanes (`i64_`, `f64_`;
 /// booleans reuse the int64 lane as 0/1), so typed inner loops read a
@@ -165,9 +171,10 @@ class VectorProjection {
   SelectionVector& sel() { return sel_; }
   const SelectionVector& sel() const { return sel_; }
 
-  /// Transposes a RowBatch into columns (full selection) — the adapter
-  /// that lets any row/batch operator feed a vectorized consumer.
-  void FromBatch(size_t num_columns, const RowBatch& batch);
+  /// Transposes rows[0, count) into columns (full selection) — the
+  /// adapter that lets any row operator feed a vectorized consumer.
+  /// Every row must be `num_columns` wide.
+  void FromRows(size_t num_columns, const Row* rows, size_t count);
 
   /// Materializes row position `pos` (not a selection slot) as a Row.
   void MaterializeRow(size_t pos, Row* out) const;

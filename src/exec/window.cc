@@ -18,7 +18,7 @@ Status WindowOp::OpenImpl() {
   extra_columns_.clear();
   pos_ = 0;
   RFV_RETURN_IF_ERROR(child_->Open());
-  RFV_RETURN_IF_ERROR(DrainChild(child_.get(), &rows_));
+  RFV_RETURN_IF_ERROR(child_->DrainTo(&rows_));
   NoteBufferedRows(rows_.size());
   extra_columns_.reserve(calls_.size());
   for (const WindowCall& call : calls_) {

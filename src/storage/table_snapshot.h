@@ -30,8 +30,8 @@ struct RowChunk {
 class TableSnapshot {
  public:
   /// Rows per chunk. A power of two so row-id → (chunk, offset)
-  /// addressing is shift/mask; matches RowBatch::kDefaultCapacity so one
-  /// scan batch/vector never straddles more than two chunks.
+  /// addressing is shift/mask. exec/scan.cc static_asserts that it
+  /// equals kVectorCapacity.
   static constexpr size_t kChunkRows = 1024;
 
   TableSnapshot() = default;

@@ -303,43 +303,23 @@ class OracleRunner {
       }
     }
 
-    // Oracle 3: execution-mode cross-check. The serial run above used
-    // the engine default (columnar vectorized execution), so replay the
-    // same query under the two fallback modes and demand identical
-    // rows:
-    //   * "batch"  — vectorized off, RowBatch pipeline on;
-    //   * "vector" — vectorized off, batches off: the pure row-at-a-
-    //     time pull loop (the vectorized-vs-row oracle; named for the
-    //     path it vouches for).
+    // Oracle 3 ("vector"): the serial run above used the engine
+    // default (columnar vectorized execution), so replay the same query
+    // on the pure row-at-a-time path and demand identical rows.
     {
-      struct ExecModeConfig {
-        const char* label;
-        bool use_vectorized;
-        bool use_batch;
-      };
-      const ExecModeConfig modes[] = {
-          {"batch", false, true},
-          {"vector", false, false},
-      };
       const bool saved_vectorized =
           db_.options().exec.use_vectorized_execution;
-      const bool saved_batch = db_.options().exec.use_batch_execution;
-      for (const ExecModeConfig& mode : modes) {
-        db_.options().exec.use_vectorized_execution = mode.use_vectorized;
-        db_.options().exec.use_batch_execution = mode.use_batch;
-        Result<ResultSet> replay = db_.Execute(sql);
-        db_.options().exec.use_vectorized_execution = saved_vectorized;
-        db_.options().exec.use_batch_execution = saved_batch;
-        if (!replay.ok()) {
-          RecordFailure(&verdict_, mode.label, sql,
-                        replay.status().ToString(), round);
-        } else {
-          RecordCheck(&verdict_, mode.label);
-          std::optional<std::string> diff =
-              DiffRowsCanonical(serial, *replay);
-          if (diff.has_value()) {
-            RecordFailure(&verdict_, mode.label, sql, *diff, round);
-          }
+      db_.options().exec.use_vectorized_execution = false;
+      Result<ResultSet> replay = db_.Execute(sql);
+      db_.options().exec.use_vectorized_execution = saved_vectorized;
+      if (!replay.ok()) {
+        RecordFailure(&verdict_, "vector", sql, replay.status().ToString(),
+                      round);
+      } else {
+        RecordCheck(&verdict_, "vector");
+        std::optional<std::string> diff = DiffRowsCanonical(serial, *replay);
+        if (diff.has_value()) {
+          RecordFailure(&verdict_, "vector", sql, *diff, round);
         }
       }
     }

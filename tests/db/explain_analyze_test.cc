@@ -71,6 +71,50 @@ TEST_F(ExplainAnalyzeTest, UnderivableQuerySaysRewriteNone) {
   EXPECT_EQ(rs.metrics()[0].metrics.rows_out, 10);
 }
 
+/// Reads the number after `key=` on `line`; -1 when absent.
+double MetricOnLine(const std::string& line, const std::string& key) {
+  const size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) return -1;
+  return std::stod(line.substr(at + key.size() + 2));
+}
+
+// Exclusive times partition the root's inclusive time: on the paper's
+// Table 1 native query (sort over window over scan), the printed
+// self_ms values add up to the root's open_ms + next_ms.
+TEST(ExplainAnalyzeSelfTimeTest, SelfTimesSumToRootInclusiveTime) {
+  Database db;
+  CreateSeqTable(db, 3000);
+  db.options().enable_view_rewrite = false;
+  const ResultSet rs = MustExecute(
+      db,
+      "EXPLAIN ANALYZE SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN "
+      "2 PRECEDING AND 1 FOLLOWING) FROM seq ORDER BY pos");
+  double root_inclusive = -1;
+  double self_sum = 0;
+  int operators = 0;
+  for (size_t i = 0; i < rs.NumRows(); ++i) {
+    const std::string line = rs.at(i, 0).AsString();
+    const double self_ms = MetricOnLine(line, "self_ms");
+    if (self_ms < 0) continue;
+    if (root_inclusive < 0) {
+      root_inclusive =
+          MetricOnLine(line, "open_ms") + MetricOnLine(line, "next_ms");
+    }
+    self_sum += self_ms;
+    ++operators;
+  }
+  const std::string text = ExplainText(rs);
+  ASSERT_GE(operators, 3) << text;
+  EXPECT_GT(root_inclusive, 0) << text;
+  // Each printed value is rounded to 0.001 ms.
+  EXPECT_NEAR(self_sum, root_inclusive, 0.0005 * (operators + 2)) << text;
+
+  int64_t self_ns = 0;
+  for (const OperatorMetricsEntry& e : rs.metrics()) self_ns += e.self_ns;
+  const OperatorMetrics& root = rs.metrics()[0].metrics;
+  EXPECT_EQ(self_ns, root.open_ns + root.next_ns);
+}
+
 TEST_F(ExplainAnalyzeTest, PlainExplainStillRendersLogicalPlan) {
   const ResultSet rs =
       MustExecute(db_, "EXPLAIN SELECT pos FROM seq WHERE pos <= 10");

@@ -1,17 +1,15 @@
-// Execution-contract tests for the batch and vector pull styles, pinned
-// after the PR that fixed two batch-path bugs:
+// Execution-contract tests for the row and vector pull styles and
+// PhysicalOperator::DrainTo.
 //
-//  1. EOF contract: the final batch/vector of a stream may be non-empty
-//     AND carry *eof = true (LimitOp truncating mid-batch, UnionAllOp's
-//     last child, TableScanOp's final partial batch). Consumers must
-//     drain first and test eof second — these tests verify producers
-//     really emit that shape and that drains never drop the final rows.
-//  2. RowBatch::Push past capacity_ used to grow the batch silently;
-//     it now aborts (death test below).
+// EOF contract: the final vector of a stream may be non-empty AND carry
+// *eof = true (LimitOp truncating mid-vector, UnionAllOp's last child,
+// TableScanOp's final partial vector). Consumers must drain first and
+// test eof second — these tests verify producers really emit that shape
+// and that drains never drop the final rows.
 //
-// Also covered: limit hit mid-batch, UNION ALL over interleaved empty
-// children, capacity-1 batches, and row/batch/vector mode equivalence
-// over a small query suite.
+// Also covered: limit hit mid-vector, UNION ALL over interleaved empty
+// children, capacity-1 vectors, DrainTo over row-only operators, and
+// row/vector mode equivalence over a small query suite.
 
 #include <gtest/gtest.h>
 
@@ -57,35 +55,43 @@ class ExecContractTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------
-// EOF contract: non-empty final batch/vector with *eof = true.
+// EOF contract: non-empty final vector with *eof = true.
 // ---------------------------------------------------------------------
 
-TEST_F(ExecContractTest, ScanFinalBatchIsNonEmptyWithEof) {
+TEST_F(ExecContractTest, ScanFinalVectorIsNonEmptyWithEof) {
   PhysicalOperatorPtr scan = Scan("t5");
   ASSERT_TRUE(scan->Open().ok());
-  RowBatch batch;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(scan->NextBatch(&batch, &eof).ok());
-  // 5 rows fit one batch: the producer reports them AND eof together.
-  EXPECT_EQ(batch.size(), 5u);
+  ASSERT_TRUE(scan->NextVector(&vp, &eof).ok());
+  // 5 rows fit one vector: the producer reports them AND eof together.
+  ASSERT_NE(vp, nullptr);
+  EXPECT_EQ(vp->NumSelected(), 5u);
   EXPECT_TRUE(eof);
 }
 
-TEST_F(ExecContractTest, LimitTruncatesMidBatchAndCarriesEof) {
+TEST_F(ExecContractTest, LimitTruncatesMidVectorAndCarriesEof) {
+  // A row-only child: the limit truncates the transposed vector of the
+  // default NextVectorImpl.
+  auto sort = std::make_unique<SortOp>(GetTable("t5")->schema(), Scan("t5"),
+                                       std::vector<SortKey>{});
   auto limit = std::make_unique<LimitOp>(GetTable("t5")->schema(),
-                                         Scan("t5"), /*limit=*/3);
+                                         std::move(sort), /*limit=*/3);
   ASSERT_TRUE(limit->Open().ok());
-  RowBatch batch;
+  VectorProjection* vp = nullptr;
   bool eof = false;
-  ASSERT_TRUE(limit->NextBatch(&batch, &eof).ok());
-  ASSERT_EQ(batch.size(), 3u);
+  ASSERT_TRUE(limit->NextVector(&vp, &eof).ok());
+  ASSERT_NE(vp, nullptr);
+  ASSERT_EQ(vp->NumSelected(), 3u);
   EXPECT_TRUE(eof);
-  EXPECT_EQ(batch.row(2)[0], Value::Int(3));
+  Row last;
+  vp->MaterializeRow(vp->sel()[2], &last);
+  EXPECT_EQ(last[0], Value::Int(3));
 
-  // Post-eof pulls are safe: the shell's latch answers empty + eof
+  // Post-eof pulls are safe: the shell's latch answers null + eof
   // without re-entering the operator.
-  ASSERT_TRUE(limit->NextBatch(&batch, &eof).ok());
-  EXPECT_TRUE(batch.empty());
+  ASSERT_TRUE(limit->NextVector(&vp, &eof).ok());
+  EXPECT_EQ(vp, nullptr);
   EXPECT_TRUE(eof);
 }
 
@@ -108,16 +114,54 @@ TEST_F(ExecContractTest, LimitVectorTruncatesSelectionAndCarriesEof) {
   EXPECT_TRUE(eof);
 }
 
-TEST_F(ExecContractTest, DrainChildKeepsFinalBatchRows) {
-  // The regression this PR's audit was for: a consumer that tested eof
-  // before draining would lose the truncated final batch entirely.
+TEST_F(ExecContractTest, DrainToKeepsFinalVectorRows) {
+  // A consumer that tested eof before draining would lose the truncated
+  // final vector entirely.
   auto limit = std::make_unique<LimitOp>(GetTable("t5")->schema(),
                                          Scan("t5"), /*limit=*/4);
+  limit->SetVectorized(true);
   ASSERT_TRUE(limit->Open().ok());
   std::vector<Row> rows;
-  ASSERT_TRUE(DrainChild(limit.get(), &rows).ok());
+  ASSERT_TRUE(limit->DrainTo(&rows).ok());
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[3][0], Value::Int(4));
+}
+
+// DrainTo over row-only materializing operators: a tight NextImpl loop
+// under one clock pair, still accounted in the operator's metrics.
+TEST_F(ExecContractTest, DrainToOverRowOnlyOperatorsRecordsMetrics) {
+  std::vector<SortKey> keys(1);
+  keys[0].expr = eb::Col(0, DataType::kInt64);
+  keys[0].ascending = false;
+  auto sort = std::make_unique<SortOp>(GetTable("t5")->schema(), Scan("t5"),
+                                       std::move(keys));
+  WindowCall count;
+  count.fn = AggFn::kCount;
+  count.is_count_star = true;
+  count.frame = WindowFrame::WholePartition();
+  count.output_name = "n";
+  count.output_type = DataType::kInt64;
+  std::vector<WindowCall> calls;
+  calls.push_back(std::move(count));
+  Schema window_schema({ColumnDef("a", DataType::kInt64),
+                        ColumnDef("n", DataType::kInt64)});
+  std::vector<PhysicalOperatorPtr> ops;
+  ops.push_back(std::move(sort));
+  ops.push_back(std::make_unique<WindowOp>(std::move(window_schema),
+                                           Scan("t5"), std::move(calls)));
+  for (const PhysicalOperatorPtr& op : ops) {
+    ASSERT_FALSE(op->vectorized()) << op->name();
+    ASSERT_TRUE(op->Open().ok());
+    std::vector<Row> rows;
+    ASSERT_TRUE(op->DrainTo(&rows).ok());
+    ASSERT_EQ(rows.size(), 5u) << op->name();
+    EXPECT_EQ(op->metrics().rows_out, 5) << op->name();
+    EXPECT_EQ(op->metrics().next_calls, 1) << op->name();
+    EXPECT_GT(op->metrics().next_ns, 0) << op->name();
+    // Exhausted: a later drain appends nothing.
+    ASSERT_TRUE(op->DrainTo(&rows).ok());
+    EXPECT_EQ(rows.size(), 5u) << op->name();
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -148,14 +192,7 @@ class UnionModesTest : public ExecContractTest {
 
 TEST_F(UnionModesTest, RowPath) {
   PhysicalOperatorPtr u = MakeUnion();
-  Result<std::vector<Row>> rows = ExecuteToVector(u.get(), false);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ExpectAllRows(*rows);
-}
-
-TEST_F(UnionModesTest, BatchPath) {
-  PhysicalOperatorPtr u = MakeUnion();
-  Result<std::vector<Row>> rows = ExecuteToVector(u.get(), true);
+  Result<std::vector<Row>> rows = ExecuteToVector(u.get());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ExpectAllRows(*rows);
 }
@@ -191,50 +228,39 @@ TEST_F(UnionModesTest, VectorPathSkipsEmptyChildrenWithinOneCall) {
 }
 
 // ---------------------------------------------------------------------
-// Capacity-1 batches: the smallest legal batch still makes progress and
-// honors the EOF contract.
+// Capacity-1 vectors: the smallest legal vector still makes progress
+// through a vector-native consumer and honors the EOF contract.
 // ---------------------------------------------------------------------
 
-TEST_F(ExecContractTest, CapacityOneBatchesDrainEverything) {
+TEST_F(ExecContractTest, CapacityOneVectorsDrainEverything) {
+  // t5 JOIN t5 ON a = a, one output row per vector, then a > 1: the
+  // filter sees a vector it empties (a = 1) and four it keeps.
+  Schema joined({ColumnDef("a", DataType::kInt64),
+                 ColumnDef("b", DataType::kInt64)});
+  std::vector<ExprPtr> left_keys;
+  left_keys.push_back(eb::Col(0, DataType::kInt64));
+  std::vector<ExprPtr> right_keys;
+  right_keys.push_back(eb::Col(0, DataType::kInt64));
+  auto join = std::make_unique<HashJoinOp>(
+      joined, Scan("t5"), Scan("t5"), std::move(left_keys),
+      std::move(right_keys), nullptr, JoinType::kInner);
+  join->SetVectorized(true);
+  join->SetVectorOutputCapacityForTest(1);
   auto filter = std::make_unique<FilterOp>(
-      GetTable("t5")->schema(), Scan("t5"),
+      joined, std::move(join),
       eb::Gt(eb::Col(0, DataType::kInt64), eb::Int(1)));
+  filter->SetVectorized(true);
   ASSERT_TRUE(filter->Open().ok());
-  RowBatch batch(1);
   std::vector<Row> rows;
-  bool eof = false;
-  while (true) {
-    ASSERT_TRUE(filter->NextBatch(&batch, &eof).ok());
-    for (size_t i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
-    if (eof) break;
-  }
+  ASSERT_TRUE(filter->DrainTo(&rows).ok());
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0][0], Value::Int(2));
-  EXPECT_EQ(rows[3][0], Value::Int(5));
+  EXPECT_EQ(rows[3][1], Value::Int(5));
+  EXPECT_EQ(filter->metrics().vectors_out, 4);
 }
 
 // ---------------------------------------------------------------------
-// RowBatch capacity is a hard bound (used to grow silently).
-// ---------------------------------------------------------------------
-
-#if GTEST_HAS_DEATH_TEST
-TEST(RowBatchDeathTest, PushPastCapacityAborts) {
-  RowBatch batch(2);
-  batch.Push(Row({Value::Int(1)}));
-  batch.Push(Row({Value::Int(2)}));
-  EXPECT_DEATH(batch.Push(Row({Value::Int(3)})), "past capacity");
-}
-#endif
-
-TEST(RowBatchTest, ZeroCapacityClampsToOne) {
-  RowBatch batch(0);
-  EXPECT_EQ(batch.capacity(), 1u);
-  batch.Push(Row({Value::Int(1)}));
-  EXPECT_TRUE(batch.full());
-}
-
-// ---------------------------------------------------------------------
-// The three execution modes agree on a small SQL suite (end to end,
+// The two execution modes agree on a small SQL suite (end to end,
 // including plans that mix vector-native and row-only operators).
 // ---------------------------------------------------------------------
 
@@ -248,19 +274,14 @@ class ExecModesSqlTest : public ::testing::Test {
                 "(6, 5.5, 'x'), (7, NULL, 'y')");
   }
 
-  // Runs `sql` under (vectorized, batch, row) modes and checks they
+  // Runs `sql` under the vectorized and row modes and checks they
   // produce identical rows in identical order.
   void ExpectModesAgree(const std::string& sql) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     const ResultSet vec = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = false;
-    const ResultSet batch = MustExecute(db_, sql);
-    db_.options().exec.use_batch_execution = false;
     const ResultSet row = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
-    EXPECT_TRUE(testutil::RowsEqual(vec, batch)) << sql;
     EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
   }
 
@@ -496,13 +517,10 @@ TEST_F(VectorJoinTest, RowAndVectorPathsAgreeOnForcedHashJoinSql) {
   };
   for (const char* sql : queries) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     const ResultSet vec = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = false;
-    db_.options().exec.use_batch_execution = false;
     const ResultSet row = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
   }
 }
@@ -525,13 +543,10 @@ class VectorBandJoinTest : public ::testing::Test {
 
   void ExpectVectorMatchesRow(const std::string& sql) {
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     const ResultSet vec = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = false;
-    db_.options().exec.use_batch_execution = false;
     const ResultSet row = MustExecute(db_, sql);
     db_.options().exec.use_vectorized_execution = true;
-    db_.options().exec.use_batch_execution = true;
     EXPECT_TRUE(testutil::RowsEqual(vec, row)) << sql;
   }
 
@@ -555,14 +570,10 @@ TEST_F(ExecModesSqlTest, ErrorsAgreeAcrossModes) {
   db_.options().exec.use_vectorized_execution = true;
   Result<ResultSet> vec = db_.Execute(sql);
   db_.options().exec.use_vectorized_execution = false;
-  Result<ResultSet> batch = db_.Execute(sql);
-  db_.options().exec.use_batch_execution = false;
   Result<ResultSet> row = db_.Execute(sql);
   ASSERT_FALSE(vec.ok());
-  ASSERT_FALSE(batch.ok());
   ASSERT_FALSE(row.ok());
   EXPECT_EQ(vec.status().ToString(), row.status().ToString());
-  EXPECT_EQ(batch.status().ToString(), row.status().ToString());
 }
 
 }  // namespace

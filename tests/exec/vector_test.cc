@@ -109,12 +109,11 @@ TEST(SelectionVectorTest, TruncateKeepsPrefix) {
   EXPECT_TRUE(sel.empty());
 }
 
-TEST(VectorProjectionTest, FromBatchTransposesAndRoundTrips) {
-  RowBatch batch;
-  batch.Push(Row({Value::Int(1), Value::String("a")}));
-  batch.Push(Row({Value::Null(), Value::Double(2.5)}));
+TEST(VectorProjectionTest, FromRowsTransposesAndRoundTrips) {
+  const std::vector<Row> rows = {Row({Value::Int(1), Value::String("a")}),
+                                 Row({Value::Null(), Value::Double(2.5)})};
   VectorProjection vp;
-  vp.FromBatch(2, batch);
+  vp.FromRows(2, rows.data(), rows.size());
   ASSERT_EQ(vp.num_columns(), 2u);
   ASSERT_EQ(vp.num_rows(), 2u);
   EXPECT_EQ(vp.NumSelected(), 2u);
@@ -130,10 +129,10 @@ TEST(VectorProjectionTest, FromBatchTransposesAndRoundTrips) {
 }
 
 TEST(VectorProjectionTest, AppendSelectedHonorsNarrowedSelection) {
-  RowBatch batch;
-  for (int64_t i = 0; i < 4; ++i) batch.Push(Row({Value::Int(i)}));
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 4; ++i) rows.push_back(Row({Value::Int(i)}));
   VectorProjection vp;
-  vp.FromBatch(1, batch);
+  vp.FromRows(1, rows.data(), rows.size());
   vp.sel().indices() = {1, 3};
   std::vector<Row> out;
   vp.AppendSelectedTo(&out);
@@ -160,9 +159,9 @@ class VectorEvalTest : public ::testing::Test {
  protected:
   // One int column (index 0) and one double column (index 1).
   void Fill(const std::vector<Value>& c0, const std::vector<Value>& c1) {
-    RowBatch batch;
-    for (size_t i = 0; i < c0.size(); ++i) batch.Push(Row({c0[i], c1[i]}));
-    vp_.FromBatch(2, batch);
+    std::vector<Row> rows;
+    for (size_t i = 0; i < c0.size(); ++i) rows.push_back(Row({c0[i], c1[i]}));
+    vp_.FromRows(2, rows.data(), rows.size());
   }
 
   // Asserts that Eval over the full selection produces exactly the
