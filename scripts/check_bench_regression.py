@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Guard-rails the A8 execution-mode sweep against a committed baseline.
+"""Guard-rails tracked benchmarks against a committed baseline.
 
-Usage: check_bench_regression.py <BENCH_derive.json> [baseline.json]
+Usage: check_bench_regression.py <BENCH_*.json>... [--baseline=FILE]
 
-Reads the bench-smoke JSON artifact (bench/json_reporter.h schema) and
+Reads the bench-smoke JSON artifacts (bench/json_reporter.h schema) and
 compares every benchmark named in the committed baseline
 (scripts/bench_baseline.json) against its recorded ns_per_op. A run
 fails the gate when it is more than `max_ratio` (default 2.0) times
 slower than baseline — wide enough to absorb CI-runner noise and the
 deliberately tiny --benchmark_min_time smoke runs, narrow enough to
 catch an accidental fallback from the vector join paths to the row
-paths (a >2.5x cliff on the tracked entries).
+paths (a >2.5x cliff on the tracked entries in BENCH_derive.json) or a
+return of whole-table work to the paper's §2.3 view maintenance
+(BENCH_maintenance.json).
 
-Benchmarks present in the artifact but absent from the baseline are
+Benchmarks present in the artifacts but absent from the baseline are
 ignored (new benchmarks don't need a baseline entry to land); baseline
-entries missing from the artifact fail, so renames must update both.
+entries missing from every artifact fail, so renames must update both.
 Exits non-zero with one line per violation.
 """
 
@@ -27,13 +29,17 @@ DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__),
 
 
 def main():
-    if len(sys.argv) not in (2, 3):
-        sys.exit(f"usage: {sys.argv[0]} <BENCH_derive.json> [baseline.json]")
-    artifact_path = sys.argv[1]
-    baseline_path = sys.argv[2] if len(sys.argv) == 3 else DEFAULT_BASELINE
+    artifact_paths = [a for a in sys.argv[1:]
+                      if not a.startswith("--baseline=")]
+    baseline_path = next((a.split("=", 1)[1] for a in sys.argv[1:]
+                          if a.startswith("--baseline=")), DEFAULT_BASELINE)
+    if not artifact_paths:
+        sys.exit(f"usage: {sys.argv[0]} <BENCH_*.json>... [--baseline=FILE]")
 
-    with open(artifact_path, encoding="utf-8") as f:
-        runs = {r["name"]: r for r in json.load(f)["benchmarks"]}
+    runs = {}
+    for path in artifact_paths:
+        with open(path, encoding="utf-8") as f:
+            runs.update({r["name"]: r for r in json.load(f)["benchmarks"]})
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
 
@@ -44,7 +50,7 @@ def main():
         run = runs.get(name)
         if run is None:
             violations.append(f"{name}: tracked in baseline but missing "
-                              f"from {artifact_path}")
+                              f"from {', '.join(artifact_paths)}")
             continue
         ns = float(run["ns_per_op"])
         ratio = ns / base_ns if base_ns > 0 else float("inf")

@@ -9,200 +9,119 @@ namespace rfv {
 
 namespace {
 
-inline SeqValue RawAt(const std::vector<SeqValue>& x, int64_t i) {
-  if (i < 1 || i > static_cast<int64_t>(x.size())) return 0;
-  return x[static_cast<size_t>(i - 1)];
-}
-
-/// Recomputes MIN/MAX sequence values for positions [from, to] against
-/// the (already updated) raw data, via one monotonic-deque sweep.
-void RecomputeMinMaxRange(const std::vector<SeqValue>& x, Sequence* seq,
-                          int64_t from, int64_t to) {
-  const WindowSpec& spec = seq->spec();
-  const bool is_min = seq->fn() == SeqAggFn::kMin;
-  const int64_t n = static_cast<int64_t>(x.size());
-  // MIN/MAX windows are clipped to [1, n] (see compute.cc).
+/// x̃_i for i in [from, to]: MIN/MAX over each window [i-l, i+h]
+/// clipped to [1, raw.n] (see compute.cc), one monotone-deque sweep.
+std::vector<SeqValue> SweepMinMax(const WindowSpec& spec, bool is_min,
+                                  const RawSlice& raw, int64_t from,
+                                  int64_t to) {
+  std::vector<SeqValue> out;
+  out.reserve(static_cast<size_t>(std::max<int64_t>(to - from + 1, 0)));
   std::deque<std::pair<int64_t, SeqValue>> mono;
   int64_t next = std::max<int64_t>(from - spec.l(), 1);
-  std::vector<SeqValue>& values = *seq->mutable_values();
-  for (int64_t k = from; k <= to; ++k) {
-    const int64_t hi = std::min(k + spec.h(), n);
-    const int64_t lo = k - spec.l();
-    for (; next <= hi; ++next) {
-      const SeqValue v = RawAt(x, next);
+  for (int64_t i = from; i <= to; ++i) {
+    for (const int64_t hi = std::min(i + spec.h(), raw.n); next <= hi;
+         ++next) {
+      const SeqValue v = raw.at(next);
       while (!mono.empty() &&
              (is_min ? mono.back().second >= v : mono.back().second <= v)) {
         mono.pop_back();
       }
       mono.emplace_back(next, v);
     }
-    while (!mono.empty() && mono.front().first < lo) mono.pop_front();
+    while (!mono.empty() && mono.front().first < i - spec.l()) {
+      mono.pop_front();
+    }
     RFV_CHECK(!mono.empty());
-    values[static_cast<size_t>(k - seq->first_pos())] = mono.front().second;
+    out.push_back(mono.front().second);
   }
+  return out;
 }
 
-Status ValidateSlidingSeq(const Sequence& seq) {
-  if (!seq.spec().is_sliding()) {
-    return Status::InvalidArgument(
-        "sliding-window maintenance on a non-sliding sequence");
+/// The raw slice after `change`: x_k replaced, inserted or removed.
+RawSlice ApplyChange(const RawSlice& raw, const SliceChange& change) {
+  RawSlice out = raw;
+  const auto at = out.values.begin() + (change.k - raw.first);
+  switch (change.kind) {
+    case SeqChange::kUpdate:
+      *at = change.value;
+      break;
+    case SeqChange::kInsert:
+      out.values.insert(at, change.value);
+      ++out.n;
+      break;
+    case SeqChange::kDelete:
+      out.values.erase(at);
+      --out.n;
+      break;
   }
-  if (!seq.IsComplete()) {
-    return Status::InvalidArgument(
-        "maintenance requires a complete sequence (header/trailer)");
-  }
-  return Status::OK();
+  return out;
 }
 
 }  // namespace
 
-Result<size_t> MaintainUpdate(std::vector<SeqValue>* x, Sequence* seq,
-                              int64_t k, SeqValue new_value) {
-  RFV_RETURN_IF_ERROR(ValidateSlidingSeq(*seq));
-  const int64_t n = static_cast<int64_t>(x->size());
-  if (k < 1 || k > n) {
-    return Status::InvalidArgument("update position out of range");
-  }
-  const WindowSpec& spec = seq->spec();
-  const SeqValue old_value = (*x)[static_cast<size_t>(k - 1)];
-  (*x)[static_cast<size_t>(k - 1)] = new_value;
-
-  const int64_t from = k - spec.h();
-  const int64_t to = k + spec.l();
-  std::vector<SeqValue>& values = *seq->mutable_values();
-  if (seq->fn() == SeqAggFn::kSum) {
-    const SeqValue delta = new_value - old_value;
-    for (int64_t i = from; i <= to; ++i) {
-      values[static_cast<size_t>(i - seq->first_pos())] += delta;
-    }
-  } else if ((seq->fn() == SeqAggFn::kMin && new_value <= old_value) ||
-             (seq->fn() == SeqAggFn::kMax && new_value >= old_value)) {
-    // Paper §2.3 footnote: when the update improves the extreme, the
-    // affected positions update with min(x̃_i, x'_k) / max(x̃_i, x'_k)
-    // directly — no window rescan.
-    const bool is_min = seq->fn() == SeqAggFn::kMin;
-    for (int64_t i = from; i <= to; ++i) {
-      SeqValue& v = values[static_cast<size_t>(i - seq->first_pos())];
-      v = is_min ? std::min(v, new_value) : std::max(v, new_value);
-    }
-  } else {
-    // The update may retire the current extreme: rescan the affected
-    // windows.
-    RecomputeMinMaxRange(*x, seq, from, to);
-  }
-  return static_cast<size_t>(to - from + 1);
+SeqValue RawSlice::at(int64_t p) const {
+  if (p < 1 || p > n) return 0;
+  RFV_CHECK(p >= first && p - first < static_cast<int64_t>(values.size()));
+  return values[static_cast<size_t>(p - first)];
 }
 
-Result<size_t> MaintainInsert(std::vector<SeqValue>* x, Sequence* seq,
-                              int64_t k, SeqValue value) {
-  RFV_RETURN_IF_ERROR(ValidateSlidingSeq(*seq));
-  const int64_t n = static_cast<int64_t>(x->size());
-  if (k < 1 || k > n + 1) {
-    return Status::InvalidArgument("insert position out of range");
-  }
-  const WindowSpec& spec = seq->spec();
-  const int64_t first = seq->first_pos();
-  const int64_t new_last = n + 1 + spec.l();
+SeqRange AffectedRange(const WindowSpec& spec, const SliceChange& change,
+                       int64_t n) {
+  if (spec.is_cumulative()) return {change.k, n};
+  const int64_t last = change.k + spec.l();
+  return {change.k - spec.h(),
+          change.kind == SeqChange::kDelete ? last - 1 : last};
+}
 
-  const std::vector<SeqValue> old_x = *x;  // rules reference old raw data
-  const int64_t mid_from = k - spec.h();
-  const int64_t mid_to = k + spec.l();
+int64_t RawReach(const WindowSpec& spec) {
+  return spec.is_sliding() ? spec.l() + spec.h() : 0;
+}
 
-  std::vector<SeqValue> new_values(
-      static_cast<size_t>(new_last - first + 1), 0);
-  for (int64_t i = first; i <= new_last; ++i) {
-    SeqValue v;
-    if (i < mid_from) {
-      v = seq->at(i);
-    } else if (i <= mid_to) {
-      if (seq->fn() == SeqAggFn::kSum) {
-        // x̃'_i = v + x̃_i − x_{i+h} over the old state.
-        v = value + seq->at(i) - RawAt(old_x, i + spec.h());
-      } else {
-        v = 0;  // recomputed below
+bool HasSliceRule(const WindowSpec& spec, SeqAggFn fn, SeqChange kind) {
+  return spec.is_sliding() ||
+         (fn == SeqAggFn::kSum && kind == SeqChange::kUpdate);
+}
+
+std::vector<SeqValue> MaintainSlice(const WindowSpec& spec, SeqAggFn fn,
+                                    const SliceChange& change,
+                                    const RawSlice& raw,
+                                    const std::vector<SeqValue>& old_seq) {
+  RFV_CHECK(HasSliceRule(spec, fn, change.kind));
+  const SeqRange range = AffectedRange(spec, change, raw.n);
+  RFV_CHECK(static_cast<int64_t>(old_seq.size()) == range.size());
+  const int64_t k = change.k;
+  std::vector<SeqValue> out = old_seq;
+  if (fn == SeqAggFn::kSum) {
+    const SeqValue delta = change.value - raw.at(k);
+    for (int64_t i = range.first; i <= range.last; ++i) {
+      SeqValue& v = out[static_cast<size_t>(i - range.first)];
+      switch (change.kind) {
+        case SeqChange::kUpdate:
+          v += delta;
+          break;
+        case SeqChange::kInsert:
+          v = change.value + v - raw.at(i + spec.h());
+          break;
+        case SeqChange::kDelete:
+          v = v - raw.at(k) + raw.at(i + spec.h() + 1);
+          break;
       }
-    } else {
-      v = seq->at(i - 1);
     }
-    new_values[static_cast<size_t>(i - first)] = v;
+    return out;
   }
-
-  x->insert(x->begin() + static_cast<ptrdiff_t>(k - 1), value);
-  *seq->mutable_values() = std::move(new_values);
-  seq->set_n(n + 1);
-  if (seq->fn() != SeqAggFn::kSum) {
-    RecomputeMinMaxRange(*x, seq, mid_from, mid_to);
-  }
-  return static_cast<size_t>(mid_to - mid_from + 1);
-}
-
-Result<size_t> MaintainDelete(std::vector<SeqValue>* x, Sequence* seq,
-                              int64_t k) {
-  RFV_RETURN_IF_ERROR(ValidateSlidingSeq(*seq));
-  const int64_t n = static_cast<int64_t>(x->size());
-  if (k < 1 || k > n) {
-    return Status::InvalidArgument("delete position out of range");
-  }
-  if (n == 0) return Status::InvalidArgument("delete from empty sequence");
-  const WindowSpec& spec = seq->spec();
-  const int64_t first = seq->first_pos();
-  const int64_t new_last = n - 1 + spec.l();
-
-  const std::vector<SeqValue> old_x = *x;
-  const SeqValue deleted = RawAt(old_x, k);
-  const int64_t mid_from = k - spec.h();
-  const int64_t mid_to = k + spec.l() - 1;
-
-  std::vector<SeqValue> new_values(
-      static_cast<size_t>(std::max<int64_t>(new_last - first + 1, 0)), 0);
-  for (int64_t i = first; i <= new_last; ++i) {
-    SeqValue v;
-    if (i < mid_from) {
-      v = seq->at(i);
-    } else if (i <= mid_to) {
-      if (seq->fn() == SeqAggFn::kSum) {
-        // x̃'_i = x̃_i − x_k + x_{i+h+1} over the old state.
-        v = seq->at(i) - deleted + RawAt(old_x, i + spec.h() + 1);
-      } else {
-        v = 0;  // recomputed below
-      }
-    } else {
-      v = seq->at(i + 1);
+  const bool is_min = fn == SeqAggFn::kMin;
+  if (change.kind == SeqChange::kUpdate &&
+      (is_min ? change.value <= raw.at(k) : change.value >= raw.at(k))) {
+    // Paper §2.3 footnote: an update that improves the extreme enters
+    // every affected window as min(x̃_i, x'_k) / max(x̃_i, x'_k).
+    for (SeqValue& v : out) {
+      v = is_min ? std::min(v, change.value) : std::max(v, change.value);
     }
-    new_values[static_cast<size_t>(i - first)] = v;
+    return out;
   }
-
-  x->erase(x->begin() + static_cast<ptrdiff_t>(k - 1));
-  *seq->mutable_values() = std::move(new_values);
-  seq->set_n(n - 1);
-  if (seq->fn() != SeqAggFn::kSum && mid_to >= mid_from) {
-    RecomputeMinMaxRange(*x, seq, mid_from, std::min(mid_to, new_last));
-  }
-  return static_cast<size_t>(std::max<int64_t>(mid_to - mid_from + 1, 0));
-}
-
-Result<size_t> MaintainCumulativeUpdate(std::vector<SeqValue>* x,
-                                        Sequence* seq, int64_t k,
-                                        SeqValue new_value) {
-  if (!seq->spec().is_cumulative()) {
-    return Status::InvalidArgument(
-        "cumulative maintenance on a non-cumulative sequence");
-  }
-  if (seq->fn() != SeqAggFn::kSum) {
-    return Status::NotSupported(
-        "incremental cumulative maintenance implemented for SUM only");
-  }
-  const int64_t n = static_cast<int64_t>(x->size());
-  if (k < 1 || k > n) {
-    return Status::InvalidArgument("update position out of range");
-  }
-  const SeqValue delta = new_value - (*x)[static_cast<size_t>(k - 1)];
-  (*x)[static_cast<size_t>(k - 1)] = new_value;
-  std::vector<SeqValue>& values = *seq->mutable_values();
-  for (int64_t i = k; i <= n; ++i) {
-    values[static_cast<size_t>(i - seq->first_pos())] += delta;
-  }
-  return static_cast<size_t>(n - k + 1);
+  // The change may retire the current extreme: rescan the windows.
+  return SweepMinMax(spec, is_min, ApplyChange(raw, change), range.first,
+                     range.last);
 }
 
 }  // namespace rfv

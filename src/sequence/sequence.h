@@ -64,11 +64,6 @@ class Sequence {
   /// Sequence").
   bool IsComplete() const;
 
-  /// Mutable access for incremental maintenance (sequence/maintain.*).
-  std::vector<SeqValue>* mutable_values() { return &values_; }
-  void set_n(int64_t n) { n_ = n; }
-  void set_first_pos(int64_t first_pos) { first_pos_ = first_pos; }
-
   /// Values on the query range [1, n] only (test convenience).
   std::vector<SeqValue> BodyValues() const;
 

@@ -81,7 +81,7 @@ Status Table::UpdateRow(size_t row_id, Row row) {
   RFV_RETURN_IF_ERROR(ValidateAndCoerce(&row));
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  MarkDirtyFromLocked(row_id);
+  MarkRowDirtyLocked(row_id);
   stats_.ReplaceRow(schema_, rows_[row_id], row);
   rows_[row_id] = std::move(row);
   MarkIndexesDirty();
@@ -100,7 +100,7 @@ Status Table::UpdateCell(size_t row_id, size_t column, Value value) {
   RFV_RETURN_IF_ERROR(ValidateAndCoerce(&updated));
   std::lock_guard<std::mutex> lock(snap_mu_);
   mutation_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  MarkDirtyFromLocked(row_id);
+  MarkRowDirtyLocked(row_id);
   stats_.ReplaceRow(schema_, rows_[row_id], updated);
   rows_[row_id] = std::move(updated);
   // Only indexes keyed on the changed column go stale — the paper's
@@ -224,27 +224,38 @@ void Table::MarkDirtyFromLocked(size_t row_id) {
   dirty_from_ = std::min(dirty_from_, row_id);
 }
 
+void Table::MarkRowDirtyLocked(size_t row_id) {
+  dirty_chunks_.insert(row_id / TableSnapshot::kChunkRows);
+}
+
 void Table::RefreshSnapshotLocked() const {
   const uint64_t epoch = mutation_epoch_.load(std::memory_order_acquire);
   if (snapshot_ != nullptr && snapshot_->epoch() == epoch) return;
 
   constexpr size_t kChunkRows = TableSnapshot::kChunkRows;
-  // Rows below dirty_from_ are byte-identical to the published snapshot,
-  // so every *full* chunk entirely below it can be shared; everything
-  // from the first shared-boundary row onward is copied fresh.
+  // Rows below dirty_from_ are byte-identical to the published snapshot
+  // except in the chunks of rows updated in place (dirty_chunks_), so
+  // every other *full* chunk entirely below it can be shared — and the
+  // partial tail chunk too when no row was added or removed. The rest is
+  // copied fresh.
   size_t shared_chunks = 0;
   if (snapshot_ != nullptr) {
     const size_t unchanged = std::min(dirty_from_, rows_.size());
-    shared_chunks = std::min(unchanged / kChunkRows,
-                             snapshot_->num_rows() / kChunkRows);
+    shared_chunks = unchanged == rows_.size() &&
+                            unchanged == snapshot_->num_rows()
+                        ? snapshot_->num_chunks()
+                        : std::min(unchanged / kChunkRows,
+                                   snapshot_->num_rows() / kChunkRows);
     shared_chunks = std::min(shared_chunks, snapshot_->num_chunks());
   }
 
   std::vector<std::shared_ptr<const RowChunk>> chunks;
   chunks.reserve((rows_.size() + kChunkRows - 1) / kChunkRows);
-  for (size_t c = 0; c < shared_chunks; ++c) chunks.push_back(snapshot_->chunk(c));
-  for (size_t pos = shared_chunks * kChunkRows; pos < rows_.size();
-       pos += kChunkRows) {
+  for (size_t pos = 0, c = 0; pos < rows_.size(); pos += kChunkRows, ++c) {
+    if (c < shared_chunks && dirty_chunks_.count(c) == 0) {
+      chunks.push_back(snapshot_->chunk(c));
+      continue;
+    }
     auto chunk = std::make_shared<RowChunk>();
     const size_t end = std::min(pos + kChunkRows, rows_.size());
     chunk->rows.assign(rows_.begin() + static_cast<ptrdiff_t>(pos),
@@ -256,6 +267,7 @@ void Table::RefreshSnapshotLocked() const {
   snapshot_ = std::make_shared<const TableSnapshot>(std::move(chunks),
                                                     rows_.size(), epoch);
   dirty_from_ = static_cast<size_t>(-1);
+  dirty_chunks_.clear();
   if (retired != nullptr) {
     EpochManager& manager = EpochManager::Global();
     manager.Retire(std::static_pointer_cast<const void>(std::move(retired)));

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,9 @@ class Table {
   /// Records that rows at positions >= `row_id` may differ from the
   /// published snapshot. Caller holds snap_mu_.
   void MarkDirtyFromLocked(size_t row_id);
+  /// Records that the one row `row_id` changed in place: only its chunk
+  /// is copied by the next refresh. Caller holds snap_mu_.
+  void MarkRowDirtyLocked(size_t row_id);
 
   std::string name_;
   Schema schema_;
@@ -180,6 +184,8 @@ class Table {
   /// First row position that may differ from snapshot_; SIZE_MAX when
   /// the snapshot covers rows_ exactly.
   mutable size_t dirty_from_ = static_cast<size_t>(-1);
+  /// Chunks of rows updated in place since the last refresh.
+  mutable std::set<size_t> dirty_chunks_;
   /// Nesting depth of open write brackets.
   int writer_depth_ = 0;
 };

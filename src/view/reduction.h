@@ -11,6 +11,11 @@ namespace rfv {
 /// Storage-level reporting-sequence reductions (paper §6): derive a new
 /// materialized sequence view *from an existing view's content* — never
 /// from base data — exercising the §6.1/§6.2 lemmas end to end.
+///
+/// A derived view is a snapshot of its source at derivation time: base
+/// changes through PropagateBase* (view/maintenance.h) skip it, and
+/// RefreshView refuses it. To bring it up to date, drop it and derive it
+/// again from the (maintained) source view.
 
 /// Partitioning reduction (paper §6.2): `source_view` must be a
 /// partitioned SUM view (a *complete reporting function* — every

@@ -18,9 +18,9 @@ namespace rfv {
 /// `rfv_system.views` introspection view.
 struct ViewMaintenanceCounters {
   /// Complete rematerializations from base data (initial materialize,
-  /// REFRESH, and the insert/delete propagation paths).
+  /// REFRESH, and propagations without a local §2.3 rule).
   int64_t full_refreshes = 0;
-  /// Localized update propagations (paper §2.3 locality rule).
+  /// Localized propagations through the paper's §2.3 slice rules.
   int64_t incremental_updates = 0;
   /// Content rows written across all maintenance of this view.
   int64_t rows_written = 0;

@@ -177,6 +177,21 @@ TEST_F(ScanSnapshotMidStreamTest, ConsecutiveSnapshotsShareCleanChunks) {
   EXPECT_NE(before->chunk(1).get(), after->chunk(1).get());
 }
 
+TEST_F(ScanSnapshotMidStreamTest, InPlaceUpdateCopiesOnlyItsChunk) {
+  const TableSnapshotPtr before = table_->PinSnapshot();
+  ASSERT_EQ(before->num_chunks(), 2u);
+  // An in-place update of row 3 copies chunk 0 only; the partial tail
+  // chunk is shared because no row was added or removed. (Incremental
+  // view maintenance publishes one snapshot per call, so an update must
+  // not cost a copy of every chunk behind the changed row.)
+  ASSERT_TRUE(table_->UpdateCell(3, 1, Value::Int(-7)).ok());
+  const TableSnapshotPtr after = table_->PinSnapshot();
+  EXPECT_NE(before->chunk(0).get(), after->chunk(0).get());
+  EXPECT_EQ(before->chunk(1).get(), after->chunk(1).get());
+  EXPECT_EQ(after->row(3)[1], Value::Int(-7));
+  EXPECT_NE(before->row(3)[1], Value::Int(-7));
+}
+
 // MergeBandJoinOp materializes its right side at Open from the right
 // scan's pinned snapshot and, when the keys arrive already ascending,
 // skips the sort entirely. That ordered-skip decision and the rows it

@@ -45,6 +45,10 @@ TEST_P(MaintenancePropertyTest, ViewsStayFreshUnderRandomDml) {
               "CREATE MATERIALIZED VIEW v_min AS SELECT pos, MIN(val) OVER "
               "(ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) "
               "FROM seq");
+  MustExecute(db,
+              "CREATE MATERIALIZED VIEW v_max AS SELECT pos, MAX(val) OVER "
+              "(ORDER BY pos ROWS BETWEEN 0 PRECEDING AND 2 FOLLOWING) "
+              "FROM seq");
 
   const auto verify = [&](const std::string& frame_fn,
                           const std::string& frame) {
@@ -79,11 +83,13 @@ TEST_P(MaintenancePropertyTest, ViewsStayFreshUnderRandomDml) {
           << "step " << step;
       --n;
     }
-    // Direct hits on all three views plus a MaxOA/MinOA-derived window.
+    // Direct hits on all four views plus a MaxOA/MinOA-derived window.
     EXPECT_EQ(verify("SUM", "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING"),
               "direct");
     EXPECT_EQ(verify("SUM", "ROWS UNBOUNDED PRECEDING"), "direct");
     EXPECT_EQ(verify("MIN", "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING"),
+              "direct");
+    EXPECT_EQ(verify("MAX", "ROWS BETWEEN 0 PRECEDING AND 2 FOLLOWING"),
               "direct");
     verify("SUM", "ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING");
   }
