@@ -1,6 +1,6 @@
 // Ablation A5 — join strategy comparison on the engine substrate: the
-// same equi self join executed as nested loops, hash join and index
-// nested-loop join. Explains where Table 1/2's
+// same equi, band and stride self joins executed as nested loops, hash
+// join, index nested-loop join and merge band join. Explains where Table 1/2's
 // "with index" numbers come from and what DB2's buffer-backed plans
 // correspond to in this engine.
 
@@ -49,7 +49,7 @@ BENCHMARK(BM_Join_IndexNestedLoop)
 
 // Band self join — the shape every Fig. 2/10/13 rewrite emits. The
 // merge band join sorts once and walks a monotone cursor (O(n +
-// matches)); the index nested loop re-probes the hull per left row;
+// matches)); the index nested loop range-probes the band per left row;
 // the nested loop sweeps all pairs.
 constexpr const char* kBandJoin =
     "SELECT s1.pos AS pos, SUM(s2.val) AS val FROM seq s1, seq s2 WHERE "
@@ -85,6 +85,43 @@ BENCHMARK(BM_BandJoin_IndexNestedLoop)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BandJoin_Merge)
     ->Arg(1000)->Arg(4000)->Arg(16000)
+    ->Unit(benchmark::kMillisecond);
+
+// Stride self join — the MaxOA Fig. 10 disjunction (join_test's
+// disjunctive_mod): two strided bands, OR-ed, with ~n^2/4 matches.
+// The index nested loop probes each band's range and keeps the
+// anchor's residue class; the merge band join enumerates the classes
+// over its sorted right side.
+constexpr const char* kStrideJoin =
+    "SELECT s1.pos AS pos, SUM(s2.val) AS val FROM seq s1, seq s2 WHERE "
+    "((s1.pos > s2.pos) AND (MOD(s1.pos, 4) = MOD(s2.pos, 4))) OR "
+    "((s1.pos - 4 > s2.pos) AND (MOD(s1.pos - 1, 4) = MOD(s2.pos, 4))) "
+    "GROUP BY s1.pos";
+
+void RunStrideJoin(benchmark::State& state, bool band, bool inlj) {
+  Database db;
+  BuildSeqTable(&db, state.range(0), /*with_index=*/inlj);
+  db.options().exec.enable_merge_band_join = band;
+  db.options().exec.enable_index_nested_loop_join = inlj;
+  for (auto _ : state) {
+    const ResultSet rs = MustExecute(&db, kStrideJoin);
+    benchmark::DoNotOptimize(rs.NumRows());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_StrideJoin_IndexNestedLoop(benchmark::State& state) {
+  RunStrideJoin(state, false, true);
+}
+void BM_StrideJoin_Merge(benchmark::State& state) {
+  RunStrideJoin(state, true, false);
+}
+
+BENCHMARK(BM_StrideJoin_IndexNestedLoop)
+    ->Arg(500)->Arg(1000)->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StrideJoin_Merge)
+    ->Arg(500)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
 // Hash join probe path, row vs. vector execution (tentpole ablation):

@@ -32,6 +32,16 @@ int64_t ElapsedNs(SteadyClock::time_point since) {
       .count();
 }
 
+/// The rewriter's share of the session options.
+RewriteOptions ToRewriteOptions(const Database::Options& options) {
+  RewriteOptions rewrite_options;
+  rewrite_options.variant = options.rewrite_variant;
+  rewrite_options.force_method = options.force_method;
+  rewrite_options.use_cost_model = options.use_cost_model;
+  rewrite_options.vector_exec = options.exec.use_vectorized_execution;
+  return rewrite_options;
+}
+
 /// Wraps multi-line explain text into a one-column result, one row per
 /// line (readable in the shell's table rendering).
 ResultSet TextToResultSet(const std::string& text) {
@@ -276,12 +286,7 @@ Result<ResultSet> Database::Execute(const std::string& sql,
     }
     event.kind = StatementKindName(stmt);
     Result<ResultSet> r = ExecuteStatement(stmt, options);
-    if (r.ok()) {
-      std::vector<std::pair<std::string, int64_t>> phases;
-      phases.emplace_back("parse", parse_ns);
-      for (const auto& phase : r->phase_ns()) phases.push_back(phase);
-      r->SetPhaseNs(std::move(phases));
-    }
+    if (r.ok()) r->PrependPhaseNs("parse", parse_ns);
     return r;
   }();
   tls_active_event = previous_event;
@@ -401,16 +406,11 @@ Result<ResultSet> Database::ExecuteExplain(const Statement& stmt,
   // per-candidate record prints without tracing enabled).
   std::string text;
   if (options.enable_view_rewrite) {
-    RewriteOptions rewrite_options;
-    rewrite_options.variant = options.rewrite_variant;
-    rewrite_options.force_method = options.force_method;
-    rewrite_options.use_cost_model = options.use_cost_model;
-    rewrite_options.vector_exec = options.exec.use_vectorized_execution;
     RewriteDecision decision;
     std::optional<RewriteResult> rewrite;
-    RFV_ASSIGN_OR_RETURN(rewrite, rewriter_.TryRewrite(*stmt.select,
-                                                       rewrite_options,
-                                                       &decision));
+    RFV_ASSIGN_OR_RETURN(rewrite, rewriter_.TryRewrite(
+                                      *stmt.select, ToRewriteOptions(options),
+                                      &decision));
     if (!decision.summary.empty()) {
       text += FormatRewriteDecision(decision);
     } else if (rewrite.has_value()) {
@@ -511,16 +511,12 @@ Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
                                           bool allow_rewrite,
                                           const Options& options) {
   if (allow_rewrite && options.enable_view_rewrite) {
-    RewriteOptions rewrite_options;
-    rewrite_options.variant = options.rewrite_variant;
-    rewrite_options.force_method = options.force_method;
-    rewrite_options.use_cost_model = options.use_cost_model;
-    rewrite_options.vector_exec = options.exec.use_vectorized_execution;
     const SteadyClock::time_point rewrite_start = SteadyClock::now();
     RewriteDecision decision;
     std::optional<RewriteResult> rewrite;
-    RFV_ASSIGN_OR_RETURN(
-        rewrite, rewriter_.TryRewrite(stmt, rewrite_options, &decision));
+    RFV_ASSIGN_OR_RETURN(rewrite, rewriter_.TryRewrite(
+                                      stmt, ToRewriteOptions(options),
+                                      &decision));
     const int64_t rewrite_ns = ElapsedNs(rewrite_start);
     // Record every (view, method) verdict into the workload event — the
     // advisor's evidence of what the rewriter considered and why. Only
@@ -551,25 +547,26 @@ Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
       RFV_ASSIGN_OR_RETURN(
           rs,
           ExecuteSelect(*rewritten.select, /*allow_rewrite=*/false, options));
+      // The answer carries the native query's column names, whatever
+      // the rewritten SQL over the view called them.
+      std::vector<std::string> names;
+      for (const SelectItem& item : stmt.select_list) {
+        names.push_back(SelectItemName(item));
+      }
+      if (names.size() != rs.schema().NumColumns()) {
+        return Status::Internal("rewrite changed the number of columns");
+      }
+      rs.RenameColumns(names);
       rs.SetRewriteInfo(DerivationMethodName(rewrite->choice.method),
                         rewrite->choice.view->view_name, rewrite->sql);
-      // The rewrite decision happened before the inner phases.
-      std::vector<std::pair<std::string, int64_t>> phases;
-      phases.emplace_back("rewrite", rewrite_ns);
-      for (const auto& phase : rs.phase_ns()) phases.push_back(phase);
-      rs.SetPhaseNs(std::move(phases));
+      rs.PrependPhaseNs("rewrite", rewrite_ns);
       return rs;
     }
     // Fall through to the base-data path, keeping the miss's cost
     // visible in the phase report.
     Result<ResultSet> rs =
         ExecuteSelect(stmt, /*allow_rewrite=*/false, options);
-    if (rs.ok()) {
-      std::vector<std::pair<std::string, int64_t>> phases;
-      phases.emplace_back("rewrite", rewrite_ns);
-      for (const auto& phase : rs->phase_ns()) phases.push_back(phase);
-      rs->SetPhaseNs(std::move(phases));
-    }
+    if (rs.ok()) rs->PrependPhaseNs("rewrite", rewrite_ns);
     return rs;
   }
   Binder binder(&catalog_);

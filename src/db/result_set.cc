@@ -20,6 +20,14 @@ std::string ResultSet::PhasesToString() const {
   return out;
 }
 
+void ResultSet::RenameColumns(const std::vector<std::string>& names) {
+  Schema renamed;
+  for (size_t i = 0; i < schema_.NumColumns(); ++i) {
+    renamed.AddColumn(ColumnDef(names[i], schema_.column(i).type));
+  }
+  schema_ = std::move(renamed);
+}
+
 int ResultSet::ColumnIndex(const std::string& name) const {
   for (size_t i = 0; i < schema_.NumColumns(); ++i) {
     if (EqualsIgnoreCase(schema_.column(i).name, name)) {

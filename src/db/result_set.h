@@ -38,6 +38,10 @@ class ResultSet {
     return rows_[row][column];
   }
 
+  /// Renames the output columns, keeping their types; `names` must
+  /// have one entry per column.
+  void RenameColumns(const std::vector<std::string>& names);
+
   /// Column index by (unqualified) name; -1 when absent.
   int ColumnIndex(const std::string& name) const;
 
@@ -81,8 +85,9 @@ class ResultSet {
   void SetPhaseNs(std::vector<std::pair<std::string, int64_t>> phases) {
     phase_ns_ = std::move(phases);
   }
-  void AddPhaseNs(std::string phase, int64_t ns) {
-    phase_ns_.emplace_back(std::move(phase), ns);
+  /// Records a phase that ran before every phase already recorded.
+  void PrependPhaseNs(std::string phase, int64_t ns) {
+    phase_ns_.emplace(phase_ns_.begin(), std::move(phase), ns);
   }
   /// One-line `phases: parse=0.1ms bind=...` summary (empty when none).
   std::string PhasesToString() const;

@@ -1,11 +1,9 @@
-// Merge band join: extraction of BandJoinSpec from join conditions and
-// the MergeBandJoinOp runtime. See the class comment in exec/operators.h
-// for the execution strategy; the extraction mirrors the recognizer
-// vocabulary of TryExtractIndexProbe (exec/join.cc) but targets the
-// sorted-right-side merge instead of an ordered index, so it also works
-// when no index exists and turns the paper's disjunctive stride
-// predicates (Figures 10/13) into congruence-class enumeration instead
-// of hull scans.
+// Position joins: the one analysis of their predicates (BandJoinSpec,
+// with ResolveBand for its per-row evaluation) and the MergeBandJoinOp
+// runtime. IndexNestedLoopJoinOp (exec/join.cc) probes the same spec
+// through an ordered index; see the class comments in exec/operators.h
+// for both execution strategies. The paper's disjunctive stride
+// predicates (Figures 10/13) become one congruence band per branch.
 
 #include <algorithm>
 #include <cmath>
@@ -225,8 +223,8 @@ bool BandHasShape(const BandSpec& band) {
 }
 
 /// Extraction for one candidate key column. `approximate` is set when
-/// an OR branch carried conjuncts that could not be folded (the bands
-/// then over-approximate and the caller must re-check the condition).
+/// an OR branch carried conjuncts that could not be folded; the bands
+/// then over-approximate and the residual is the whole condition.
 std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
                                                 size_t left_width,
                                                 size_t abs_col,
@@ -234,29 +232,32 @@ std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(condition.Clone(), &conjuncts);
 
+  // Which band source consumed each conjunct; the rest is residual.
+  enum class Source { kResidual, kBase, kIn, kOr };
+  std::vector<Source> source(conjuncts.size(), Source::kResidual);
   BandSpec base;
-  bool base_used = false;
   std::vector<BandSpec> in_bands;
   std::vector<BandSpec> or_bands;
   bool or_approx = false;
 
-  for (ExprPtr& conjunct : conjuncts) {
-    if (FoldConjunct(*conjunct, left_width, abs_col, &base)) {
-      base_used = true;
-      conjunct.reset();
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    const Expr& conjunct = *conjuncts[i];
+    if (FoldConjunct(conjunct, left_width, abs_col, &base)) {
+      source[i] = Source::kBase;
       continue;
     }
     if (in_bands.empty() &&
-        ExpandInConjunct(*conjunct, left_width, abs_col, &in_bands)) {
-      conjunct.reset();
+        ExpandInConjunct(conjunct, left_width, abs_col, &in_bands)) {
+      source[i] = Source::kIn;
       continue;
     }
-    if (or_bands.empty() && conjunct->kind == ExprKind::kBinary &&
-        conjunct->binary_op == BinaryOp::kOr) {
-      // Each OR branch must yield a band of its own; a branch with
-      // unfoldable extras widens (superset) and forces a recheck.
+    if (or_bands.empty() && conjunct.kind == ExprKind::kBinary &&
+        conjunct.binary_op == BinaryOp::kOr) {
+      // Each OR branch must yield a band (or an IN list's points) of its
+      // own; a branch with unfoldable extras widens (superset) and
+      // forces a recheck.
       std::vector<const Expr*> leaves;
-      std::vector<const Expr*> stack = {conjunct.get()};
+      std::vector<const Expr*> stack = {&conjunct};
       while (!stack.empty()) {
         const Expr* e = stack.back();
         stack.pop_back();
@@ -274,10 +275,20 @@ std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
         std::vector<ExprPtr> branch_conjuncts;
         SplitConjuncts(leaf->Clone(), &branch_conjuncts);
         BandSpec branch;
+        std::vector<BandSpec> points;
         for (const ExprPtr& bc : branch_conjuncts) {
-          if (!FoldConjunct(*bc, left_width, abs_col, &branch)) {
+          if (!FoldConjunct(*bc, left_width, abs_col, &branch) &&
+              !(points.empty() &&
+                ExpandInConjunct(*bc, left_width, abs_col, &points))) {
             leftovers = true;
           }
+        }
+        if (!points.empty()) {
+          // The IN list's points stand for the branch; what else it
+          // folded only narrows them, so it is re-checked.
+          leftovers = leftovers || BandHasShape(branch);
+          for (BandSpec& point : points) branches.push_back(std::move(point));
+          continue;
         }
         if (!BandHasShape(branch)) {
           branches_ok = false;  // this branch admits arbitrary keys
@@ -288,45 +299,39 @@ std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
       if (branches_ok) {
         or_bands = std::move(branches);
         or_approx = leftovers;
-        conjunct.reset();
-        continue;
+        source[i] = Source::kOr;
       }
     }
-    // Unrecognized conjunct: stays in the residual.
   }
 
-  // Exactly one band source keeps the semantics obvious; the paper's
-  // patterns never mix them.
-  int sources = (base_used ? 1 : 0) + (in_bands.empty() ? 0 : 1) +
-                (or_bands.empty() ? 0 : 1);
-  if (sources != 1) return std::nullopt;
-
+  // One source feeds the bands: an IN list, else an OR, else the folded
+  // conjuncts. Another source's conjuncts stay in the residual.
   BandJoinSpec spec;
   spec.right_column = table_col;
-  if (base_used) {
-    spec.bands.push_back(std::move(base));
-  } else if (!in_bands.empty()) {
+  Source chosen = Source::kResidual;
+  if (!in_bands.empty()) {
+    chosen = Source::kIn;
     spec.bands = std::move(in_bands);
-  } else {
+  } else if (!or_bands.empty()) {
+    chosen = Source::kOr;
     spec.bands = std::move(or_bands);
     spec.approximate = or_approx;
+  } else if (BandHasShape(base)) {
+    chosen = Source::kBase;
+    spec.bands.push_back(std::move(base));
+  } else {
+    return std::nullopt;
   }
 
-  // Decline shapes other strategies already handle better: a single
-  // unconstrained point is the hash/index equi join, and a band with no
-  // shape at all is the cross product.
-  if (spec.bands.size() == 1) {
-    const BandSpec& only = spec.bands[0];
-    if (!BandHasShape(only)) return std::nullopt;
-    if (only.is_point && only.modulus == 0) return std::nullopt;
-    if (only.lo == nullptr && only.hi == nullptr && only.modulus == 0) {
-      return std::nullopt;
-    }
+  if (spec.approximate) {
+    spec.residual = condition.Clone();
+    return spec;
   }
-
   std::vector<ExprPtr> residual_conjuncts;
-  for (ExprPtr& c : conjuncts) {
-    if (c != nullptr) residual_conjuncts.push_back(std::move(c));
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (source[i] != chosen) {
+      residual_conjuncts.push_back(std::move(conjuncts[i]));
+    }
   }
   spec.residual = CombineConjuncts(std::move(residual_conjuncts));
   return spec;
@@ -336,7 +341,8 @@ std::optional<BandJoinSpec> ExtractForKeyColumn(const Expr& condition,
 
 std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
                                                size_t left_width,
-                                               Table* right_table) {
+                                               Table* right_table,
+                                               bool require_index) {
   std::optional<BandJoinSpec> best;
   int best_rank = -1;
   for (size_t table_col = 0; table_col < right_table->schema().NumColumns();
@@ -344,28 +350,117 @@ std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
     if (right_table->schema().column(table_col).type != DataType::kInt64) {
       continue;
     }
+    const bool indexed = right_table->HasIndexOnColumn(table_col);
+    if (require_index && !indexed) continue;
     std::optional<BandJoinSpec> spec = ExtractForKeyColumn(
         condition, left_width, left_width + table_col, table_col);
     if (!spec.has_value()) continue;
-    // Prefer stride bands (congruence prunes hardest), then multi-band,
-    // then two-sided intervals, then exactness.
-    int rank = 0;
-    bool any_modulus = false;
-    bool two_sided = true;
-    for (const BandSpec& b : spec->bands) {
-      any_modulus = any_modulus || b.modulus != 0;
-      two_sided = two_sided && b.lo != nullptr && b.hi != nullptr;
+    // A lone equality point ranks last (the merge band join declines
+    // it), an indexed one first among those. Otherwise prefer stride
+    // bands (congruence prunes hardest), then multi-band, then
+    // two-sided intervals, then exactness.
+    int rank = indexed ? 1 : 0;
+    if (!spec->IsLonePoint()) {
+      bool any_modulus = false;
+      bool two_sided = true;
+      for (const BandSpec& b : spec->bands) {
+        any_modulus = any_modulus || b.modulus != 0;
+        two_sided = two_sided && b.lo != nullptr && b.hi != nullptr;
+      }
+      rank = 2;
+      if (any_modulus) rank += 8;
+      if (spec->bands.size() > 1) rank += 4;
+      if (two_sided) rank += 2;
+      if (!spec->approximate) rank += 1;
     }
-    if (any_modulus) rank += 8;
-    if (spec->bands.size() > 1) rank += 4;
-    if (two_sided) rank += 2;
-    if (!spec->approximate) rank += 1;
     if (rank > best_rank) {
       best_rank = rank;
       best = std::move(spec);
     }
   }
   return best;
+}
+
+bool ResolvedBand::InClass(int64_t key) const {
+  return modulus == 0 || FlooredMod(key, modulus) == residue;
+}
+
+Status ResolveBand(const BandSpec& band, const Row& left_row,
+                   ResolvedBand* out) {
+  out->empty = false;
+  out->lo = std::numeric_limits<int64_t>::min();
+  out->hi = std::numeric_limits<int64_t>::max();
+  out->modulus = 0;
+
+  // Folds one evaluated bound into *bound; a NULL empties the band.
+  const auto resolve_bound = [&](const Value& v, bool strict, bool is_lo,
+                                 int64_t* bound) -> Status {
+    if (v.is_null()) {
+      out->empty = true;  // comparison with NULL is never true
+      return Status::OK();
+    }
+    if (v.type() == DataType::kInt64) {
+      int64_t b = v.AsInt();
+      if (strict) {
+        if (is_lo) {
+          if (b == std::numeric_limits<int64_t>::max()) {
+            out->empty = true;
+            return Status::OK();
+          }
+          ++b;
+        } else {
+          if (b == std::numeric_limits<int64_t>::min()) {
+            out->empty = true;
+            return Status::OK();
+          }
+          --b;
+        }
+      }
+      *bound = b;
+      return Status::OK();
+    }
+    if (v.type() == DataType::kDouble) {
+      // Integer keys against a fractional bound: round inward; a strict
+      // integral bound tightens by one.
+      const double d = v.AsDouble();
+      double rounded = is_lo ? std::ceil(d) : std::floor(d);
+      if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
+      if (is_lo && rounded < -9.2e18) rounded = -9.2e18;
+      if (!is_lo && rounded > 9.2e18) rounded = 9.2e18;
+      *bound = static_cast<int64_t>(rounded);
+      return Status::OK();
+    }
+    return Status::TypeError("band join bound must be numeric");
+  };
+
+  Value v;
+  if (band.lo != nullptr) {
+    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.lo, left_row));
+    RFV_RETURN_IF_ERROR(
+        resolve_bound(v, band.lo_strict, /*is_lo=*/true, &out->lo));
+    if (out->empty) return Status::OK();
+  }
+  if (band.hi != nullptr) {
+    // A point's two bounds are one expression: evaluate it once.
+    if (!band.is_point) {
+      RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(*band.hi, left_row));
+    }
+    RFV_RETURN_IF_ERROR(
+        resolve_bound(v, band.hi_strict, /*is_lo=*/false, &out->hi));
+    if (out->empty) return Status::OK();
+  }
+  if (band.modulus > 1) {
+    Value a;
+    RFV_ASSIGN_OR_RETURN(a, Evaluator::Eval(*band.anchor, left_row));
+    if (a.is_null() || a.type() != DataType::kInt64) {
+      out->empty = true;  // MOD(NULL, w) = anything is never true
+      return Status::OK();
+    }
+    out->modulus = band.modulus;
+    out->residue = FlooredMod(a.AsInt(), band.modulus);
+  }
+  if (out->lo > out->hi) out->empty = true;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -441,79 +536,6 @@ Status MergeBandJoinOp::OpenImpl() {
   return Status::OK();
 }
 
-Status MergeBandJoinOp::ResolveBand(const BandSpec& band, const Row& left_row,
-                                    ResolvedBand* out) const {
-  out->empty = false;
-  out->lo = std::numeric_limits<int64_t>::min();
-  out->hi = std::numeric_limits<int64_t>::max();
-  out->modulus = 0;
-
-  const auto resolve_bound = [&](const Expr& expr, bool strict, bool is_lo,
-                                 int64_t* bound) -> Status {
-    Value v;
-    RFV_ASSIGN_OR_RETURN(v, Evaluator::Eval(expr, left_row));
-    if (v.is_null()) {
-      out->empty = true;  // comparison with NULL is never true
-      return Status::OK();
-    }
-    if (v.type() == DataType::kInt64) {
-      int64_t b = v.AsInt();
-      if (strict) {
-        if (is_lo) {
-          if (b == std::numeric_limits<int64_t>::max()) {
-            out->empty = true;
-            return Status::OK();
-          }
-          ++b;
-        } else {
-          if (b == std::numeric_limits<int64_t>::min()) {
-            out->empty = true;
-            return Status::OK();
-          }
-          --b;
-        }
-      }
-      *bound = b;
-      return Status::OK();
-    }
-    if (v.type() == DataType::kDouble) {
-      // Integer keys against a fractional bound: round inward; a strict
-      // integral bound tightens by one.
-      const double d = v.AsDouble();
-      double rounded = is_lo ? std::ceil(d) : std::floor(d);
-      if (strict && rounded == d) rounded += is_lo ? 1.0 : -1.0;
-      if (is_lo && rounded < -9.2e18) rounded = -9.2e18;
-      if (!is_lo && rounded > 9.2e18) rounded = 9.2e18;
-      *bound = static_cast<int64_t>(rounded);
-      return Status::OK();
-    }
-    return Status::TypeError("band join bound must be numeric");
-  };
-
-  if (band.lo != nullptr) {
-    RFV_RETURN_IF_ERROR(
-        resolve_bound(*band.lo, band.lo_strict, /*is_lo=*/true, &out->lo));
-    if (out->empty) return Status::OK();
-  }
-  if (band.hi != nullptr) {
-    RFV_RETURN_IF_ERROR(
-        resolve_bound(*band.hi, band.hi_strict, /*is_lo=*/false, &out->hi));
-    if (out->empty) return Status::OK();
-  }
-  if (band.modulus > 1) {
-    Value a;
-    RFV_ASSIGN_OR_RETURN(a, Evaluator::Eval(*band.anchor, left_row));
-    if (a.is_null() || a.type() != DataType::kInt64) {
-      out->empty = true;  // MOD(NULL, w) = anything is never true
-      return Status::OK();
-    }
-    out->modulus = band.modulus;
-    out->residue = FlooredMod(a.AsInt(), band.modulus);
-  }
-  if (out->lo > out->hi) out->empty = true;
-  return Status::OK();
-}
-
 void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
                                   size_t band_index) {
   if (band.empty || keys_.empty()) return;
@@ -555,9 +577,7 @@ void MergeBandJoinOp::CollectBand(const ResolvedBand& band,
       }
     } else {
       for (auto it = range_begin; it != range_end; ++it) {
-        if (FlooredMod(it->first, w) == band.residue) {
-          candidates_.push_back(it->second);
-        }
+        if (band.InClass(it->first)) candidates_.push_back(it->second);
       }
     }
     return;

@@ -101,46 +101,31 @@ Result<PhysicalOperatorPtr> BuildJoin(const LogicalPlan& plan,
   PhysicalOperatorPtr left;
   RFV_ASSIGN_OR_RETURN(left, BuildPhysicalPlan(left_plan, options));
 
-  // Merge band join: right side must be a bare table scan with an
-  // integer key column the condition constrains to bands (interval,
-  // stride, or point-set per left row). Considered ahead of the index
-  // probe — the sorted merge touches only matching keys where the index
-  // hull would scan and re-filter whole prefixes.
-  if (options.enable_merge_band_join && plan.join_condition != nullptr &&
+  // Position joins: the right side must be a bare table scan with an
+  // INTEGER key column the condition constrains to bands (interval,
+  // stride or point set per left row). One analysis serves both
+  // operators; with the merge band join off only indexed keys qualify.
+  const bool band_join = options.enable_merge_band_join;
+  const bool index_join = options.enable_index_nested_loop_join;
+  if ((band_join || index_join) && plan.join_condition != nullptr &&
       right_plan.kind == PlanKind::kScan) {
-    std::optional<BandJoinSpec> band = TryExtractBandJoin(
-        *plan.join_condition, left_width, right_plan.table);
-    if (band.has_value()) {
-      if (band->approximate) {
-        // Over-approximating bands re-check the full condition.
-        band->residual = plan.join_condition->Clone();
-      }
+    std::optional<BandJoinSpec> spec =
+        TryExtractBandJoin(*plan.join_condition, left_width, right_plan.table,
+                           /*require_index=*/!band_join);
+    // The sorted merge takes every band shape but a lone equality point,
+    // which an index lookup or a hash probe answers without sorting.
+    if (spec.has_value() && band_join && !spec->IsLonePoint()) {
       PhysicalOperatorPtr right;
       RFV_ASSIGN_OR_RETURN(right, BuildPhysicalPlan(right_plan, options));
       return PhysicalOperatorPtr(new MergeBandJoinOp(
-          plan.schema, std::move(left), std::move(right), std::move(*band),
+          plan.schema, std::move(left), std::move(right), std::move(*spec),
           plan.join_type));
     }
-  }
-
-  // Index nested-loop join: right side must be a bare table scan with a
-  // usable ordered index.
-  if (options.enable_index_nested_loop_join &&
-      plan.join_condition != nullptr &&
-      right_plan.kind == PlanKind::kScan) {
-    std::optional<IndexProbeSpec> probe = TryExtractIndexProbe(
-        *plan.join_condition, left_width, right_plan.table);
-    if (probe.has_value()) {
-      if (probe->approximate || probe->residual != nullptr) {
-        // Re-check the full condition unless the probe proved exactness
-        // of everything it consumed.
-        if (probe->approximate) {
-          probe->residual = plan.join_condition->Clone();
-        }
-      }
+    if (spec.has_value() && index_join &&
+        right_plan.table->HasIndexOnColumn(spec->right_column)) {
       return PhysicalOperatorPtr(new IndexNestedLoopJoinOp(
           plan.schema, std::move(left), right_plan.table, right_plan.schema,
-          std::move(*probe), plan.join_type));
+          std::move(*spec), plan.join_type));
     }
   }
 

@@ -144,92 +144,7 @@ class NestedLoopJoinOp : public PhysicalOperator {
   size_t right_width_ = 0;
 };
 
-/// Probe specification for an index nested-loop join: how to derive,
-/// from each left row, the key set to look up in the right table's
-/// ordered index. Produced by TryExtractIndexProbe (exec/join.cc).
-struct IndexProbeSpec {
-  /// Right-table column (table-local index) the probes address.
-  size_t right_column = 0;
-
-  /// Point probes: each expression (bound over the LEFT schema) yields
-  /// one key; a right row qualifies when its key equals any of them.
-  std::vector<ExprPtr> point_exprs;
-
-  /// Range probe (used when point_exprs is empty): optional bounds,
-  /// inclusive. Bound expressions are bound over the LEFT schema.
-  ExprPtr range_lo;
-  ExprPtr range_hi;
-
-  /// True when the probe is a superset of the join condition and the
-  /// full condition must be re-checked on each candidate (e.g. strict
-  /// `<` relaxed to `<=`, or a disjunctive condition widened to its
-  /// column hull). When false the probe is exact and the condition
-  /// conjuncts it covers were already removed from `residual`.
-  bool approximate = true;
-
-  /// Condition to evaluate on each joined candidate row; null = accept.
-  ExprPtr residual;
-};
-
-/// Attempts to turn `condition` (bound over the joined schema, left
-/// width `left_width`) into an index probe on an indexed column of
-/// `right_table`. Returns nullopt when no usable pattern is found.
-///
-/// Recognized per-conjunct patterns on an indexed right column rc:
-///   rc = <left expr>                      → exact point
-///   rc IN (<left exprs>)                  → exact points
-///   <left expr> IN (rc ± const, ...)      → exact points (inverted form,
-///                                           paper Fig. 2/4 predicates)
-///   rc BETWEEN <left lo> AND <left hi>    → exact range
-///   rc < / <= / > / >= <left expr>        → approximate one-sided range
-///   OR of branches each yielding a probe on rc
-///                                         → approximate union/hull probe
-std::optional<IndexProbeSpec> TryExtractIndexProbe(const Expr& condition,
-                                                   size_t left_width,
-                                                   Table* right_table);
-
-/// Index nested-loop join: per left row, probes an ordered index on the
-/// right base table — the paper's "with primary key index" execution
-/// paths in Tables 1 and 2.
-class IndexNestedLoopJoinOp : public PhysicalOperator {
- public:
-  IndexNestedLoopJoinOp(Schema schema, PhysicalOperatorPtr left,
-                        Table* right_table, Schema right_schema,
-                        IndexProbeSpec spec, JoinType join_type)
-      : PhysicalOperator(std::move(schema)),
-        left_(std::move(left)),
-        right_table_(right_table),
-        right_schema_(std::move(right_schema)),
-        spec_(std::move(spec)),
-        join_type_(join_type) {}
-  const char* name() const override { return "index_nested_loop_join"; }
-  void AppendChildren(
-      std::vector<const PhysicalOperator*>* out) const override {
-    out->push_back(left_.get());
-  }
-
- protected:
-  Status OpenImpl() override;
-  Status NextImpl(Row* row, bool* eof) override;
-
- private:
-  Status AdvanceLeft(bool* eof);
-
-  PhysicalOperatorPtr left_;
-  Table* right_table_;
-  Schema right_schema_;
-  IndexProbeSpec spec_;
-  JoinType join_type_;
-
-  OrderedIndex* index_ = nullptr;
-  Row current_left_;
-  bool left_valid_ = false;
-  bool left_matched_ = false;
-  std::vector<size_t> candidates_;
-  size_t candidate_pos_ = 0;
-};
-
-/// One band of a merge band join: the set of right-side keys a left row
+/// One band of a position join: the set of right-side keys a left row
 /// joins with, described as an inclusive integer interval plus an
 /// optional congruence (stride) constraint. All expressions are bound
 /// over the LEFT schema.
@@ -252,10 +167,31 @@ struct BandSpec {
   bool is_point = false;
 };
 
-/// Merge band join plan: each left row matches right rows whose key
+/// A band evaluated for one left row: integer bounds with strictness
+/// and fractional bounds already folded in, plus the anchor's residue.
+struct ResolvedBand {
+  int64_t lo = 0;
+  int64_t hi = 0;
+  int64_t residue = 0;  ///< anchor's congruence class (modulus > 0)
+  int64_t modulus = 0;
+  bool empty = false;
+
+  /// True when `key` lies in the anchor's congruence class (always, for
+  /// a band without one). The interval is the caller's to check.
+  bool InClass(int64_t key) const;
+};
+
+/// Evaluates `band` against `left_row`. The one resolution both
+/// position joins use: a NULL bound or anchor empties the band, a strict
+/// integer bound tightens by one, and a fractional bound rounds inward.
+Status ResolveBand(const BandSpec& band, const Row& left_row,
+                   ResolvedBand* out);
+
+/// Position-join plan: each left row matches right rows whose key
 /// column falls in ANY of the bands (the bands are the branches of the
 /// paper's disjunctive MaxOA/MinOA join predicates). Produced by
-/// TryExtractBandJoin (exec/band_join.cc).
+/// TryExtractBandJoin (exec/band_join.cc); consumed by both
+/// MergeBandJoinOp and IndexNestedLoopJoinOp.
 struct BandJoinSpec {
   /// Right-table column (table-local index) holding the band key; gated
   /// to DataType::kInt64.
@@ -268,21 +204,76 @@ struct BandJoinSpec {
   /// Condition to evaluate on each joined candidate row; null = accept.
   /// When `approximate`, this is the full original join condition.
   ExprPtr residual;
+
+  /// One equality point and nothing else: an equi join, which the
+  /// merge band join leaves to the index and hash joins.
+  bool IsLonePoint() const {
+    return bands.size() == 1 && bands[0].is_point && bands[0].modulus == 0;
+  }
 };
 
-/// Attempts to turn `condition` into a band join on an INTEGER column of
-/// `right_table`. Returns nullopt when no band shape is found, or when
-/// the shape is one the hash/index joins already handle better (a single
-/// equality point and nothing else).
+/// The one analysis of position-join predicates: turns `condition`
+/// (bound over the joined schema, left width `left_width`) into bands
+/// on an INTEGER column of `right_table`, which must also carry an
+/// ordered index when `require_index` (the index nested-loop join's
+/// probe). Returns nullopt when no band shape is found.
 ///
 /// Recognized per-conjunct shapes on an int64 right column rc:
 ///   rc BETWEEN lo AND hi / rc <op> e       → interval band
 ///   rc = e / rc IN (...) / e IN (rc ± c)   → point bands
 ///   MOD(e, w) = MOD(rc, w)                 → congruence on the band
 ///   OR of branches, each an AND of the above → one band per branch
+///                                            (an IN list: its points)
+/// When the conjuncts hold more than one of these sources, the bands
+/// come from one (an IN list, else an OR, else the folded conjuncts) and
+/// the others stay in the residual.
 std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
                                                size_t left_width,
-                                               Table* right_table);
+                                               Table* right_table,
+                                               bool require_index = false);
+
+/// Index nested-loop join: per left row, probes an ordered index on the
+/// right base table once per band — the paper's "with primary key
+/// index" execution paths in Tables 1 and 2. A point band is a key
+/// lookup, an interval a range lookup, and a congruence band keeps the
+/// range's keys in the anchor's residue class.
+class IndexNestedLoopJoinOp : public PhysicalOperator {
+ public:
+  IndexNestedLoopJoinOp(Schema schema, PhysicalOperatorPtr left,
+                        Table* right_table, Schema right_schema,
+                        BandJoinSpec spec, JoinType join_type)
+      : PhysicalOperator(std::move(schema)),
+        left_(std::move(left)),
+        right_table_(right_table),
+        right_schema_(std::move(right_schema)),
+        spec_(std::move(spec)),
+        join_type_(join_type) {}
+  const char* name() const override { return "index_nested_loop_join"; }
+  void AppendChildren(
+      std::vector<const PhysicalOperator*>* out) const override {
+    out->push_back(left_.get());
+  }
+
+ protected:
+  Status OpenImpl() override;
+  Status NextImpl(Row* row, bool* eof) override;
+
+ private:
+  Status AdvanceLeft(bool* eof);
+
+  PhysicalOperatorPtr left_;
+  Table* right_table_;
+  Schema right_schema_;
+  BandJoinSpec spec_;
+  JoinType join_type_;
+
+  OrderedIndex* index_ = nullptr;
+  Row current_left_;
+  bool left_valid_ = false;
+  bool left_matched_ = false;
+  std::vector<size_t> candidates_;
+  size_t candidate_pos_ = 0;
+};
 
 /// Merge band join: materializes the right input once into a sorted
 /// (key, row) array — skipping the sort when the input is already in key
@@ -291,8 +282,8 @@ std::optional<BandJoinSpec> TryExtractBandJoin(const Expr& condition,
 /// binary-search fallback for non-monotone bounds, and congruence-class
 /// stride enumeration for the MaxOA/MinOA partitioned patterns. This is
 /// the linear-time execution strategy for the Fig. 2/10/13 self-join
-/// patterns; selected ahead of the index nested-loop probe when the
-/// condition has band shape.
+/// patterns; BuildJoin selects it ahead of the index nested-loop join
+/// for every band shape except a lone equality point.
 class MergeBandJoinOp : public PhysicalOperator {
  public:
   MergeBandJoinOp(Schema schema, PhysicalOperatorPtr left,
@@ -326,21 +317,10 @@ class MergeBandJoinOp : public PhysicalOperator {
   Status NextVectorImpl(VectorProjection** out, bool* eof) override;
 
  private:
-  /// Evaluated, integer-resolved bounds of one band for one left row.
-  struct ResolvedBand {
-    int64_t lo = 0;
-    int64_t hi = 0;
-    int64_t residue = 0;  ///< anchor's congruence class (modulus > 0)
-    int64_t modulus = 0;
-    bool empty = false;
-  };
-
   Status AdvanceLeft(bool* eof);
   /// Resolves all bands for current_left_ into candidates_ (cross-band
   /// deduplicated); shared by the row and vector paths.
   Status ResolveCandidates();
-  Status ResolveBand(const BandSpec& band, const Row& left_row,
-                     ResolvedBand* out) const;
   /// Appends row ids of keys_ positions matching `band` to candidates_,
   /// using the per-band monotone start cursor `cursor`.
   void CollectBand(const ResolvedBand& band, size_t band_index);

@@ -103,6 +103,10 @@ Result<WindowFrame> NormalizeFrame(const WindowSpecAst& spec) {
 
 }  // namespace
 
+std::string SelectItemName(const SelectItem& item) {
+  return item.alias.empty() ? DerivedName(*item.expr) : item.alias;
+}
+
 std::optional<AggFn> Binder::AggFnByName(const std::string& upper_name) {
   if (upper_name == "SUM") return AggFn::kSum;
   if (upper_name == "COUNT") return AggFn::kCount;
@@ -552,8 +556,7 @@ Result<LogicalPlanPtr> Binder::BindSelectCore(const SelectStmt& stmt) {
       ExprPtr bound;
       RFV_ASSIGN_OR_RETURN(bound, BindAndCheck(*item.expr, env));
       projections.push_back(std::move(bound));
-      names.push_back(!item.alias.empty() ? item.alias
-                                          : DerivedName(*item.expr));
+      names.push_back(SelectItemName(item));
     }
     plan = MakeProject(std::move(plan), std::move(projections),
                        std::move(names));

@@ -11,6 +11,12 @@
 
 namespace rfv {
 
+/// Output column name of a non-star SELECT item: its alias, else the
+/// name of a plain column reference, else the expression's rendering.
+/// The binder names its output columns with it, and the view rewrite
+/// renames the rewritten answer's columns with it.
+std::string SelectItemName(const SelectItem& item);
+
 /// Semantic analysis: resolves names against the catalog, lowers the
 /// parser AST into bound expressions and a logical plan.
 ///

@@ -21,21 +21,25 @@ CostEstimate Finish(CostEstimate est) {
   return est;
 }
 
-/// Prices a pattern's join predicate against the engine's alternatives
-/// and stores the cheapest in est->pred_evals / est->join:
-///   nested loop  n·m pairs, every branch of the disjunction tested;
-///   index hull   n probes, each scanning the predicate's position hull
-///                (hull_rows candidates, re-checked branch-wide) —
-///                requires the ordered index;
-///   band merge   n band resolutions touching only band_rows interval/
-///                stride candidates per left row (exec/band_join.cc).
-/// hull_rows / band_rows are candidate counts per left row; pass a
-/// negative band_rows when the condition has no band shape.
 /// Per-candidate cost multiplier of a vector-native join path relative
 /// to its row path: candidate runs are gathered column-wise into pooled
 /// lanes instead of materialized through per-row Value copies (measured
 /// ~2× on the A8 sweep and the BM_HashJoin probe; priced conservatively).
 constexpr double kVectorJoinDiscount = 0.5;
+
+/// Prices a pattern's join predicate against the engine's alternatives
+/// and stores the cheapest in est->pred_evals / est->join:
+///   nested loop  n·m pairs, every branch of the disjunction tested;
+///   index hull   n probes of the ordered index (exec/join.cc), priced
+///                as a scan of the predicate's position hull (hull_rows
+///                candidates, re-checked branch-wide): an upper bound,
+///                since the operator probes each band on its own and
+///                drops off-stride keys without a re-check — requires
+///                the ordered index;
+///   band merge   n band resolutions touching only band_rows interval/
+///                stride candidates per left row (exec/band_join.cc).
+/// hull_rows / band_rows are candidate counts per left row; pass a
+/// negative band_rows when the condition has no band shape.
 
 void PriceJoin(double n, double m, double branches, double hull_rows,
                double band_rows, const PatternStats& stats,

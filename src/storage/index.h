@@ -17,7 +17,9 @@ class Table;
 /// point and range lookup — the classic "static B-tree" layout. It is what
 /// gives the planner the "with primary key index" execution paths of the
 /// paper's Table 1/2 experiments: an index nested-loop join probes this
-/// structure in O(log n + matches) instead of scanning the whole table.
+/// structure once per band of its join predicate — a key `Lookup` for a
+/// point, a `LookupRange` for an interval or stride band — in
+/// O(log n + matches) instead of scanning the whole table.
 ///
 /// Maintenance contract: `Insert` keeps the index consistent for appended
 /// rows; any in-place update or delete on the owning table marks the index

@@ -406,8 +406,10 @@ class OracleRunner {
                                derived->rewrite_method();
           if (variant == RewriteVariant::kUnion) oracle += "+union";
           RecordCheck(&verdict_, oracle);
+          // Values and column names both match the native answer.
           std::optional<std::string> diff =
               DiffRowsCanonical(serial, *derived);
+          if (!diff.has_value()) diff = DiffColumnNames(serial, *derived);
           if (diff.has_value()) {
             RecordFailure(&verdict_, oracle,
                           sql + "\n  rewritten: " + derived->rewritten_sql(),

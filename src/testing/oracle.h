@@ -22,10 +22,12 @@ namespace fuzzing {
 ///                   vectorized execution) vs. the row-at-a-time pull
 ///                   path (exec.use_vectorized_execution off);
 ///   * rewrite:*   — MaxOA / MinOA / automatic view rewrites (both
-///                   pattern variants) vs. the native operator;
+///                   pattern variants) vs. the native operator, in
+///                   values and in column names;
 ///   * band        — forced rewrites replayed with the merge band join
-///                   disabled (exec.enable_merge_band_join off) vs. the
-///                   band-join execution of the same plan;
+///                   disabled (exec.enable_merge_band_join off, so the
+///                   index nested-loop join probes the same bands) vs.
+///                   the band-join execution of the same plan;
 ///   * maintenance — incrementally maintained view content vs. a full
 ///                   recompute (ViewManager::RefreshView) after every
 ///                   DML batch.

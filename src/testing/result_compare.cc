@@ -91,5 +91,20 @@ std::optional<std::string> DiffRowVectorsCanonical(std::vector<Row> a,
   return DiffRowVectors(a, b, a.empty() ? cols_b : cols_a, cols_b);
 }
 
+std::optional<std::string> DiffColumnNames(const ResultSet& a,
+                                           const ResultSet& b) {
+  const auto render = [](const Schema& schema) {
+    std::string out;
+    for (size_t c = 0; c < schema.NumColumns(); ++c) {
+      out += (c != 0 ? ", " : "") + schema.column(c).name;
+    }
+    return out;
+  };
+  const std::string names_a = render(a.schema());
+  const std::string names_b = render(b.schema());
+  if (names_a == names_b) return std::nullopt;
+  return "column names differ: (" + names_a + ") vs (" + names_b + ")";
+}
+
 }  // namespace fuzzing
 }  // namespace rfv

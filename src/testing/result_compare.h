@@ -35,6 +35,11 @@ std::optional<std::string> DiffRows(const ResultSet& a, const ResultSet& b);
 std::optional<std::string> DiffRowsCanonical(const ResultSet& a,
                                              const ResultSet& b);
 
+/// Nullopt when both results name their columns alike, in order; else
+/// both name lists.
+std::optional<std::string> DiffColumnNames(const ResultSet& a,
+                                           const ResultSet& b);
+
 /// DiffRowsCanonical over bare row vectors (view-content snapshots and
 /// other comparisons that never pass through a ResultSet). Takes copies
 /// because both sides are sorted in place.

@@ -121,6 +121,45 @@ TEST(DatabaseTest, DropViewUnregistersRewrite) {
   EXPECT_TRUE(rs.rewrite_method().empty());
 }
 
+// A query answered from a view names its columns as the native query
+// does: by alias, else by the plain column or the rendered window call.
+TEST(DatabaseTest, RewriteKeepsNativeColumnNames) {
+  Database db;
+  MustExecute(db, "CREATE TABLE t (pos INT, val DOUBLE)");
+  MustExecute(db,
+              "INSERT INTO t VALUES (1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0), "
+              "(5, 5.0), (6, 6.0)");
+  MustExecute(db,
+              "CREATE MATERIALIZED VIEW v AS SELECT pos, SUM(val) OVER "
+              "(ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s "
+              "FROM t");
+  const char* const queries[] = {
+      // aliased, direct rewrite
+      "SELECT pos AS p, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 "
+      "PRECEDING AND 1 FOLLOWING) AS s FROM t",
+      // unaliased, direct rewrite
+      "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING "
+      "AND 1 FOLLOWING) FROM t",
+      // derived from the view through a self join
+      "SELECT pos, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING "
+      "AND 2 FOLLOWING) AS wide FROM t ORDER BY pos",
+  };
+  for (const char* sql : queries) {
+    db.options().enable_view_rewrite = true;
+    const ResultSet rewritten = MustExecute(db, sql);
+    db.options().enable_view_rewrite = false;
+    const ResultSet native = MustExecute(db, sql);
+    EXPECT_FALSE(rewritten.rewrite_method().empty()) << sql;
+    ASSERT_EQ(rewritten.schema().NumColumns(), native.schema().NumColumns());
+    for (size_t i = 0; i < native.schema().NumColumns(); ++i) {
+      EXPECT_EQ(rewritten.schema().column(i).name,
+                native.schema().column(i).name)
+          << sql;
+    }
+    EXPECT_TRUE(testutil::RowsEqualCanonical(rewritten, native)) << sql;
+  }
+}
+
 TEST(DatabaseTest, NonMaterializedViewRejected) {
   Database db;
   testutil::CreateSeqTable(db, 5);
