@@ -64,14 +64,16 @@ void BM_Derive_ReconstructThenRecompute(benchmark::State& state) {
   for (auto _ : state) {
     Result<std::vector<SeqValue>> raw = RawFromSlidingLinear(view);
     benchmark::DoNotOptimize(
-        ComputeSlidingPipelined(raw.value(), kQuery));
+        BuildCompleteSequence(raw.value(), kQuery, SeqAggFn::kSum)
+            .BodyValues());
   }
 }
 
 void BM_Derive_DirectFromRaw(benchmark::State& state) {
   const std::vector<SeqValue> x = MakeData(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeSlidingPipelined(x, kQuery));
+    benchmark::DoNotOptimize(
+        BuildCompleteSequence(x, kQuery, SeqAggFn::kSum).BodyValues());
   }
 }
 

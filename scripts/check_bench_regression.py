@@ -10,9 +10,10 @@ fails the gate when it is more than `max_ratio` (default 2.0) times
 slower than baseline — wide enough to absorb CI-runner noise and the
 deliberately tiny --benchmark_min_time smoke runs, narrow enough to
 catch an accidental fallback from the vector join paths to the row
-paths (a >2.5x cliff on the tracked entries in BENCH_derive.json) or a
+paths (a >2.5x cliff on the tracked entries in BENCH_derive.json), a
 return of whole-table work to the paper's §2.3 view maintenance
-(BENCH_maintenance.json).
+(BENCH_maintenance.json) or a slower complete-sequence materialization
+(BENCH_compute.json, and a view's full refresh in BENCH_maintenance.json).
 
 Benchmarks present in the artifacts but absent from the baseline are
 ignored (new benchmarks don't need a baseline entry to land); baseline

@@ -12,9 +12,8 @@ namespace rfv {
 namespace eb {
 
 /// Tiny factory namespace for constructing bound expression trees by
-/// hand — used by the binder, the rewrite pattern builder
-/// (rewrite/pattern_plan.*) and tests. Types are left to the caller or to
-/// a later CheckTypes pass.
+/// hand — used by the binder, the planner and tests. Types are left to
+/// the caller or to a later CheckTypes pass.
 
 inline ExprPtr Lit(Value v) {
   auto e = std::make_unique<Expr>();

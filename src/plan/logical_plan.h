@@ -154,7 +154,7 @@ struct LogicalPlan {
 
 using LogicalPlanPtr = std::unique_ptr<LogicalPlan>;
 
-// --- construction helpers (used by binder and rewrite/pattern_plan) --------
+// --- construction helpers (used by the binder and tests) -------------------
 
 LogicalPlanPtr MakeScan(Table* table, const std::string& alias);
 LogicalPlanPtr MakeFilter(LogicalPlanPtr input, ExprPtr predicate);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
 #include "common/logging.h"
 
@@ -33,61 +32,34 @@ std::vector<SeqValue> ComputeSlidingNaive(const std::vector<SeqValue>& x,
   return out;
 }
 
-std::vector<SeqValue> ComputeSlidingPipelined(const std::vector<SeqValue>& x,
-                                              const WindowSpec& spec) {
+std::vector<SeqValue> SlidingMinMax(const std::vector<SeqValue>& x,
+                                    int64_t x_first, int64_t n,
+                                    const WindowSpec& spec, bool is_min,
+                                    int64_t from, int64_t to) {
   RFV_CHECK(spec.is_sliding());
-  const int64_t n = static_cast<int64_t>(x.size());
-  std::vector<SeqValue> out(static_cast<size_t>(n), 0);
-  if (n == 0) return out;
-  // Seed x̃_1 explicitly, then apply x̃_k = x̃_{k-1} + x_{k+h} - x_{k-l-1}.
-  SeqValue running = 0;
-  for (int64_t i = 1 - spec.l(); i <= 1 + spec.h(); ++i) {
-    running += RawAt(x, i);
-  }
-  out[0] = running;
-  for (int64_t k = 2; k <= n; ++k) {
-    running += RawAt(x, k + spec.h()) - RawAt(x, k - spec.l() - 1);
-    out[static_cast<size_t>(k - 1)] = running;
-  }
-  return out;
-}
-
-std::vector<SeqValue> ComputeCumulative(const std::vector<SeqValue>& x) {
-  std::vector<SeqValue> out(x.size(), 0);
-  SeqValue running = 0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    running += x[i];
-    out[i] = running;
-  }
-  return out;
-}
-
-std::vector<SeqValue> ComputeSlidingMinMax(const std::vector<SeqValue>& x,
-                                           const WindowSpec& spec,
-                                           bool is_min) {
-  RFV_CHECK(spec.is_sliding());
-  const int64_t n = static_cast<int64_t>(x.size());
-  std::vector<SeqValue> out(static_cast<size_t>(n), 0);
-  // Monotonic deque of (position, value); front is the window extreme.
-  // MIN/MAX windows are clipped to [1, n] (SQL frame semantics): unlike
-  // SUM, the zero padding of out-of-range positions would corrupt the
-  // extreme instead of being neutral.
+  std::vector<SeqValue> out;
+  out.reserve(static_cast<size_t>(std::max<int64_t>(to - from + 1, 0)));
+  int64_t next = std::max<int64_t>(from - spec.l(), 1);  // next to admit
+  const int64_t last_read = std::min(to + spec.h(), n);
+  RFV_CHECK(next > last_read ||
+            (next >= x_first &&
+             last_read - x_first < static_cast<int64_t>(x.size())));
+  // Monotone deque of (position, value); the front is the window extreme.
   std::deque<std::pair<int64_t, SeqValue>> mono;
-  int64_t next = std::max<int64_t>(1 - spec.l(), 1);  // next position to admit
-  for (int64_t k = 1; k <= n; ++k) {
-    const int64_t hi = std::min(k + spec.h(), n);
-    const int64_t lo = k - spec.l();
-    for (; next <= hi; ++next) {
-      const SeqValue v = RawAt(x, next);
+  for (int64_t k = from; k <= to; ++k) {
+    for (const int64_t hi = std::min(k + spec.h(), n); next <= hi; ++next) {
+      const SeqValue v = x[static_cast<size_t>(next - x_first)];
       while (!mono.empty() &&
              (is_min ? mono.back().second >= v : mono.back().second <= v)) {
         mono.pop_back();
       }
       mono.emplace_back(next, v);
     }
-    while (!mono.empty() && mono.front().first < lo) mono.pop_front();
+    while (!mono.empty() && mono.front().first < k - spec.l()) {
+      mono.pop_front();
+    }
     RFV_CHECK(!mono.empty());
-    out[static_cast<size_t>(k - 1)] = mono.front().second;
+    out.push_back(mono.front().second);
   }
   return out;
 }
@@ -96,72 +68,41 @@ Sequence BuildCompleteSequence(const std::vector<SeqValue>& x,
                                const WindowSpec& spec, SeqAggFn fn) {
   const int64_t n = static_cast<int64_t>(x.size());
   if (spec.is_cumulative()) {
-    std::vector<SeqValue> values;
-    if (fn == SeqAggFn::kSum) {
-      values = ComputeCumulative(x);
-    } else {
-      // Running MIN/MAX.
-      values.assign(x.size(), 0);
-      SeqValue extreme = 0;
-      for (size_t i = 0; i < x.size(); ++i) {
-        if (i == 0) {
-          extreme = x[i];
-        } else if (fn == SeqAggFn::kMin) {
-          extreme = std::min(extreme, x[i]);
-        } else {
-          extreme = std::max(extreme, x[i]);
-        }
-        values[i] = extreme;
-      }
+    // One running fold: x̃_1 = x_1, x̃_k = x̃_{k-1} ⊕ x_k.
+    std::vector<SeqValue> values(x);
+    for (size_t i = 1; i < values.size(); ++i) {
+      const SeqValue prev = values[i - 1];
+      SeqValue& v = values[i];
+      v = fn == SeqAggFn::kSum   ? prev + v
+          : fn == SeqAggFn::kMin ? std::min(prev, v)
+                                 : std::max(prev, v);
     }
     return Sequence(spec, fn, n, 1, std::move(values));
   }
 
-  // Sliding: compute over the extended range [-h+1, n+l] by treating the
-  // extended positions as a longer raw array shifted so everything is
-  // 1-based.
+  // Sliding: the extended range [-h+1, n+l]. Every header and trailer
+  // position has a window that overlaps [1, n] — that is precisely the
+  // definition of the header/trailer extent.
   if (n == 0) {
     return Sequence(spec, fn, 0, 1, {});
   }
   const int64_t first = -spec.h() + 1;
   const int64_t last = n + spec.l();
-  const int64_t count = last - first + 1;
-  std::vector<SeqValue> values(static_cast<size_t>(std::max<int64_t>(count, 0)),
-                               0);
-  if (fn == SeqAggFn::kSum) {
-    // Pipelined sweep across the extended range.
-    SeqValue running = 0;
-    for (int64_t i = first - spec.l(); i <= first + spec.h(); ++i) {
-      running += RawAt(x, i);
-    }
-    if (count > 0) values[0] = running;
-    for (int64_t k = first + 1; k <= last; ++k) {
-      running += RawAt(x, k + spec.h()) - RawAt(x, k - spec.l() - 1);
-      values[static_cast<size_t>(k - first)] = running;
-    }
-  } else {
-    // MIN/MAX windows are clipped to [1, n] (SQL frame semantics; the
-    // SUM-style zero padding would corrupt extremes). Every header and
-    // trailer position still has a non-empty clipped window — that is
-    // precisely the definition of the header/trailer extent.
-    const bool is_min = fn == SeqAggFn::kMin;
-    std::deque<std::pair<int64_t, SeqValue>> mono;
-    int64_t next = 1;
-    for (int64_t k = first; k <= last; ++k) {
-      const int64_t hi = std::min(k + spec.h(), n);
-      const int64_t lo = k - spec.l();
-      for (; next <= hi; ++next) {
-        const SeqValue v = RawAt(x, next);
-        while (!mono.empty() &&
-               (is_min ? mono.back().second >= v : mono.back().second <= v)) {
-          mono.pop_back();
-        }
-        mono.emplace_back(next, v);
-      }
-      while (!mono.empty() && mono.front().first < lo) mono.pop_front();
-      RFV_CHECK(!mono.empty());
-      values[static_cast<size_t>(k - first)] = mono.front().second;
-    }
+  if (fn != SeqAggFn::kSum) {
+    return Sequence(spec, fn, n, first,
+                    SlidingMinMax(x, 1, n, spec, fn == SeqAggFn::kMin, first,
+                                  last));
+  }
+  // Pipelined sweep: seed x̃_first explicitly, then apply the recursion.
+  std::vector<SeqValue> values(static_cast<size_t>(last - first + 1), 0);
+  SeqValue running = 0;
+  for (int64_t i = first - spec.l(); i <= first + spec.h(); ++i) {
+    running += RawAt(x, i);
+  }
+  values[0] = running;
+  for (int64_t k = first + 1; k <= last; ++k) {
+    running += RawAt(x, k + spec.h()) - RawAt(x, k - spec.l() - 1);
+    values[static_cast<size_t>(k - first)] = running;
   }
   return Sequence(spec, fn, n, first, std::move(values));
 }

@@ -1,41 +1,13 @@
 #include "sequence/maintain.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.h"
+#include "sequence/compute.h"
 
 namespace rfv {
 
 namespace {
-
-/// x̃_i for i in [from, to]: MIN/MAX over each window [i-l, i+h]
-/// clipped to [1, raw.n] (see compute.cc), one monotone-deque sweep.
-std::vector<SeqValue> SweepMinMax(const WindowSpec& spec, bool is_min,
-                                  const RawSlice& raw, int64_t from,
-                                  int64_t to) {
-  std::vector<SeqValue> out;
-  out.reserve(static_cast<size_t>(std::max<int64_t>(to - from + 1, 0)));
-  std::deque<std::pair<int64_t, SeqValue>> mono;
-  int64_t next = std::max<int64_t>(from - spec.l(), 1);
-  for (int64_t i = from; i <= to; ++i) {
-    for (const int64_t hi = std::min(i + spec.h(), raw.n); next <= hi;
-         ++next) {
-      const SeqValue v = raw.at(next);
-      while (!mono.empty() &&
-             (is_min ? mono.back().second >= v : mono.back().second <= v)) {
-        mono.pop_back();
-      }
-      mono.emplace_back(next, v);
-    }
-    while (!mono.empty() && mono.front().first < i - spec.l()) {
-      mono.pop_front();
-    }
-    RFV_CHECK(!mono.empty());
-    out.push_back(mono.front().second);
-  }
-  return out;
-}
 
 /// The raw slice after `change`: x_k replaced, inserted or removed.
 RawSlice ApplyChange(const RawSlice& raw, const SliceChange& change) {
@@ -120,8 +92,9 @@ std::vector<SeqValue> MaintainSlice(const WindowSpec& spec, SeqAggFn fn,
     return out;
   }
   // The change may retire the current extreme: rescan the windows.
-  return SweepMinMax(spec, is_min, ApplyChange(raw, change), range.first,
-                     range.last);
+  const RawSlice changed = ApplyChange(raw, change);
+  return SlidingMinMax(changed.values, changed.first, changed.n, spec, is_min,
+                       range.first, range.last);
 }
 
 }  // namespace rfv

@@ -22,7 +22,8 @@ namespace rfv {
 ///     SUM      x̃'_i = x̃_i + (x'_k − x_k)
 ///     MIN/MAX  x̃'_i = min(x̃_i, x'_k) / max(x̃_i, x'_k) when the update
 ///              improves the extreme (the paper's footnote); otherwise
-///              the windows are recomputed with one monotone-deque sweep.
+///              the windows are recomputed with one SlidingMinMax
+///              sweep (compute.h), the deque that also materializes them.
 ///   INSERT v at k (old positions >= k move up), k-h <= i <= k+l:
 ///     SUM      x̃'_i = v + x̃_i − x_{i+h}
 ///   DELETE k (old positions > k move down), k-h <= i <= k+l-1:

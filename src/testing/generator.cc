@@ -96,8 +96,9 @@ void FillWindowScenario(Scenario* s, FuzzRng* rng) {
   }
 }
 
-/// Dense sequences the generated rows must satisfy: positions 1..n per
-/// partition (sequence views reject anything else), all values non-NULL.
+/// Dense sequences: positions 1..n per partition, all values non-NULL —
+/// the base data sequence views accept (they reject gaps, duplicate or
+/// NULL positions and NULL values).
 void FillDenseRows(Scenario* s, FuzzRng* rng, int64_t num_groups,
                    int64_t max_per_partition) {
   for (int64_t g = 0; g < num_groups; ++g) {
@@ -114,8 +115,10 @@ void FillDenseRows(Scenario* s, FuzzRng* rng, int64_t num_groups,
 
 /// Rewrite workload: SUM/MIN/MAX views + strict rewriter-shaped
 /// aggregate queries (automatic / MaxOA / MinOA runs diffed against the
-/// native operator). No DML: SQL DML does not maintain views, so views
-/// would correctly go stale and the diff would be meaningless.
+/// native operator). Now and then one value is NULL: the oracle then
+/// demands that every view is refused. No DML: SQL DML does not
+/// maintain views, so views would correctly go stale and the diff would
+/// be meaningless.
 void FillRewriteScenario(Scenario* s, FuzzRng* rng) {
   s->has_grp = rng->ChancePermille(450);
   s->dense_positions = true;
@@ -147,6 +150,13 @@ void FillRewriteScenario(Scenario* s, FuzzRng* rng) {
     // not, to cover the recognizer's non-partitioned shape too.
     query.partition_by_grp = s->has_grp && !rng->ChancePermille(200);
     s->queries.push_back(query);
+  }
+
+  // Drawn last, so the rest of the scenario is what it was without it.
+  if (rng->ChancePermille(60)) {
+    const int64_t row =
+        rng->UniformInt(0, static_cast<int64_t>(s->rows.size()) - 1);
+    s->rows[static_cast<size_t>(row)].val = Value::Null();
   }
 }
 

@@ -22,6 +22,7 @@ namespace fuzzing {
 ///   * ~30% kRewrite     — dense sequences + SUM/MIN/MAX views, strict
 ///     rewriter-shaped aggregate queries, no DML (SQL DML does not
 ///     maintain views — the rewrite would correctly see stale content);
+///     ~6% of them hold one NULL value, which every view must refuse;
 ///   * ~30% kMaintenance — non-partitioned (pos, val) sequences with
 ///     views, DML replayed through the PropagateBase* API.
 Scenario GenerateScenario(uint64_t seed, int index);

@@ -139,10 +139,37 @@ class OracleRunner {
     if (!MustExecute(s_.CreateTableSql(), "setup", 0)) return false;
     const std::string insert = s_.InsertSql();
     if (!insert.empty() && !MustExecute(insert, "setup", 0)) return false;
+    const bool null_value = s_.HasNullValue();
     for (const FuzzView& view : s_.views) {
-      if (!MustExecute(s_.CreateViewSql(view), "setup", 0)) return false;
+      if (null_value) {
+        CheckViewRefused(view);
+      } else if (!MustExecute(s_.CreateViewSql(view), "setup", 0)) {
+        return false;
+      }
     }
     return true;
+  }
+
+  /// Oracle "null-view": a sequence view over a NULL value must fail
+  /// with InvalidArgument and leave no view or content table behind —
+  /// the sequence algebra has no NULL, and a view that stored one as 0
+  /// would let the rewriter serve answers the native window does not
+  /// give.
+  void CheckViewRefused(const FuzzView& view) {
+    const std::string sql = s_.CreateViewSql(view);
+    const Result<ResultSet> r = db_.Execute(sql);
+    RecordCheck(&verdict_, "null-view");
+    const bool registered =
+        db_.view_manager()->FindView(view.name) != nullptr ||
+        db_.catalog()->HasTable(view.name);
+    if (r.ok() || r.status().code() != StatusCode::kInvalidArgument ||
+        registered) {
+      RecordFailure(&verdict_, "null-view", sql,
+                    (r.ok() ? std::string("view created")
+                            : r.status().ToString()) +
+                        (registered ? " (view left registered)" : ""),
+                    0);
+    }
   }
 
   bool MustExecute(const std::string& sql, const std::string& oracle,

@@ -126,6 +126,13 @@ std::string Scenario::DmlSql(const FuzzDml& op) const {
   return "";
 }
 
+bool Scenario::HasNullValue() const {
+  for (const FuzzRow& row : rows) {
+    if (row.val.is_null()) return true;
+  }
+  return false;
+}
+
 std::string Scenario::ToSqlScript() const {
   std::string out;
   out += "-- rfview_fuzz scenario " + Id() + " (" +
@@ -133,6 +140,9 @@ std::string Scenario::ToSqlScript() const {
   out += CreateTableSql() + ";\n";
   const std::string insert = InsertSql();
   if (!insert.empty()) out += insert + ";\n";
+  if (!views.empty() && HasNullValue()) {
+    out += "-- a NULL value: each view below must fail (InvalidArgument)\n";
+  }
   for (const FuzzView& view : views) out += CreateViewSql(view) + ";\n";
   for (const FuzzQuery& query : queries) out += QuerySql(query) + ";\n";
   for (size_t b = 0; b < dml_batches.size(); ++b) {

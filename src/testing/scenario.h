@@ -111,6 +111,10 @@ struct Scenario {
   /// Queries re-run after each batch; batches empty for kRewrite.
   std::vector<std::vector<FuzzDml>> dml_batches;
 
+  /// True when some row's value is NULL: sequence views must then be
+  /// refused (CREATE MATERIALIZED VIEW fails with InvalidArgument).
+  bool HasNullValue() const;
+
   /// "seed<seed>/iter<index>" — stable identifier for logs and repros.
   std::string Id() const;
 

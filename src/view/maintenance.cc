@@ -22,9 +22,6 @@ void CountMaintenanceRows(const char* op, size_t rows) {
   c->Increment(static_cast<int64_t>(rows));
 }
 
-/// Columns of a non-partitioned view's content table (view_def.h).
-constexpr size_t kViewPos = 0;
-constexpr size_t kViewVal = 1;
 constexpr size_t kNoRow = static_cast<size_t>(-1);
 
 /// The rows of a positional table on [first, first + values.size() - 1]:
@@ -90,15 +87,16 @@ Status ShiftPositions(Table* table, size_t pos_col, int64_t p,
 
 /// Writes `values` to the view positions from `first` on: in place
 /// where `rows` names a row, as a new row elsewhere.
-Status WriteSlice(Table* content, const std::vector<size_t>& rows,
-                  int64_t first, const std::vector<SeqValue>& values) {
+Status WriteSlice(const SequenceViewDef& def, Table* content,
+                  const std::vector<size_t>& rows, int64_t first,
+                  const std::vector<SeqValue>& values) {
   for (size_t i = 0; i < values.size(); ++i) {
-    const Value val = Value::Double(values[i]);
     RFV_RETURN_IF_ERROR(
         rows[i] != kNoRow
-            ? content->UpdateCell(rows[i], kViewVal, val)
-            : content->Insert(Row(
-                  {Value::Int(first + static_cast<int64_t>(i)), val})));
+            ? content->UpdateCell(rows[i], def.val_column(),
+                                  Value::Double(values[i]))
+            : content->Insert(ContentRow(
+                  {}, first + static_cast<int64_t>(i), values[i])));
   }
   return Status::OK();
 }
@@ -109,19 +107,22 @@ Status WriteSlice(Table* content, const std::vector<size_t>& rows,
 Result<size_t> MaintainView(const SequenceViewDef& def, Table* content,
                             const SliceChange& change, const RawSlice& raw) {
   const SeqRange range = AffectedRange(def.window, change, raw.n);
-  Slice old = ReadSlice(content, kViewPos, kViewVal, range.first, range.last);
+  Slice old = ReadSlice(content, def.pos_column(), def.val_column(),
+                        range.first, range.last);
   const std::vector<SeqValue> fresh =
       MaintainSlice(def.window, def.fn, change, raw, old.values);
   if (change.kind == SeqChange::kInsert) {
     // Rows from range.last on move up; the one at range.last leaves the
     // slice, whose last position gets a new row.
-    RFV_RETURN_IF_ERROR(ShiftPositions(content, kViewPos, range.last, +1));
+    RFV_RETURN_IF_ERROR(
+        ShiftPositions(content, def.pos_column(), range.last, +1));
     old.rows.back() = kNoRow;
   }
-  RFV_RETURN_IF_ERROR(WriteSlice(content, old.rows, range.first, fresh));
+  RFV_RETURN_IF_ERROR(WriteSlice(def, content, old.rows, range.first, fresh));
   if (change.kind != SeqChange::kDelete) return fresh.size();
   // The row just past the slice goes; the rows above it move down.
-  RFV_RETURN_IF_ERROR(ShiftPositions(content, kViewPos, range.last + 1, -1));
+  RFV_RETURN_IF_ERROR(
+      ShiftPositions(content, def.pos_column(), range.last + 1, -1));
   return fresh.size() + 1;
 }
 

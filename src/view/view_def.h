@@ -43,10 +43,13 @@ class RelaxedInt64 {
 /// The view's *content* is an ordinary catalog table named `view_name`
 /// with schema
 ///   [partition columns...,] pos INTEGER, val DOUBLE
-/// holding the *complete* sequence (header positions -h+1..0 and trailer
-/// n+1..n+l included, per partition when partitioned) — completeness is
-/// the derivability prerequisite of paper §3.2/§6.2. The *metadata* here
-/// is what the rewriter matches incoming queries against.
+/// (column indices: pos_column(), val_column()) holding the *complete*
+/// sequence (header positions -h+1..0 and trailer n+1..n+l included, per
+/// partition when partitioned) — completeness is the derivability
+/// prerequisite of paper §3.2/§6.2. ViewManager is the one module that
+/// creates, fills and indexes content tables; §2.3 maintenance rewrites
+/// cells in place. The *metadata* here is what the rewriter matches
+/// incoming queries against.
 struct SequenceViewDef {
   std::string view_name;
 
@@ -74,6 +77,11 @@ struct SequenceViewDef {
   /// they are excluded from base-table query rewriting and cannot be
   /// refreshed from the base table.
   bool derived = false;
+
+  /// Content-table column of the position and of the value: after the
+  /// partition columns, in that order.
+  size_t pos_column() const { return partition_columns.size(); }
+  size_t val_column() const { return partition_columns.size() + 1; }
 
   std::string ToString() const;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <utility>
 
 #include "common/str_util.h"
 #include "sequence/compute.h"
@@ -10,52 +12,55 @@ namespace rfv {
 
 namespace {
 
-/// Extracts (partition key, position, value) triples from the base
-/// table, grouped by partition key in ascending order, each partition's
-/// values indexed by position. Validates dense 1..n positions.
-struct PartitionData {
-  std::vector<Value> key;
-  std::vector<SeqValue> values;  ///< values[i] = value at position i+1
-};
+/// Content-table column names; view_def.h fixes their order.
+constexpr char kPosColumn[] = "pos";
+constexpr char kValColumn[] = "val";
 
-Result<std::vector<PartitionData>> ExtractPartitions(
-    const Table& base, size_t order_col, size_t value_col,
-    const std::vector<size_t>& partition_cols) {
-  std::map<std::vector<Value>, std::map<int64_t, SeqValue>> grouped;
-  for (size_t r = 0; r < base.NumRows(); ++r) {
-    const Row& row = base.row(r);
-    const Value& pos = row[order_col];
-    const Value& val = row[value_col];
+/// Groups a positional table's rows by the `key_cols` values, in
+/// ascending key order, and checks each group's positions are dense
+/// integers and its values non-NULL.
+Result<std::vector<PositionalGroup>> GroupPositionalRows(
+    const Table& table, const std::vector<size_t>& key_cols, size_t pos_col,
+    size_t val_col) {
+  std::map<std::vector<Value>, std::vector<std::pair<int64_t, SeqValue>>>
+      grouped;
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    const Row& row = table.row(r);
+    const Value& pos = row[pos_col];
+    const Value& val = row[val_col];
     if (pos.is_null() || pos.type() != DataType::kInt64) {
       return Status::InvalidArgument(
           "sequence view order column must hold non-NULL integers");
     }
-    std::vector<Value> key;
-    key.reserve(partition_cols.size());
-    for (size_t c : partition_cols) key.push_back(row[c]);
-    auto& part = grouped[key];
-    if (!part.emplace(pos.AsInt(), val.is_null() ? 0 : val.ToDouble())
-             .second) {
+    if (val.is_null()) {
       return Status::InvalidArgument(
-          "duplicate position " + std::to_string(pos.AsInt()) +
-          " in sequence view base data");
+          "sequence view value column must hold non-NULL values; position " +
+          std::to_string(pos.AsInt()) + " holds NULL");
     }
+    std::vector<Value> key;
+    key.reserve(key_cols.size());
+    for (size_t c : key_cols) key.push_back(row[c]);
+    grouped[std::move(key)].emplace_back(pos.AsInt(), val.ToDouble());
   }
-  std::vector<PartitionData> out;
+  std::vector<PositionalGroup> out;
   out.reserve(grouped.size());
-  for (auto& [key, positions] : grouped) {
-    PartitionData part;
+  for (auto& [key, entries] : grouped) {
+    std::sort(entries.begin(), entries.end());
+    PositionalGroup part;
     part.key = key;
-    part.values.reserve(positions.size());
-    int64_t expected = 1;
-    for (const auto& [pos, val] : positions) {
-      if (pos != expected) {
+    part.first = entries.front().first;
+    part.values.reserve(entries.size());
+    for (const auto& [p, v] : entries) {
+      const int64_t expected =
+          part.first + static_cast<int64_t>(part.values.size());
+      if (p != expected) {
         return Status::InvalidArgument(
-            "sequence view positions must be dense 1..n; missing position " +
-            std::to_string(expected));
+            p < expected ? "duplicate position " + std::to_string(p) +
+                               " in sequence view data"
+                         : "sequence view positions must be dense; missing "
+                           "position " + std::to_string(expected));
       }
-      part.values.push_back(val);
-      ++expected;
+      part.values.push_back(v);
     }
     out.push_back(std::move(part));
   }
@@ -64,118 +69,144 @@ Result<std::vector<PartitionData>> ExtractPartitions(
 
 }  // namespace
 
-Status ViewManager::Materialize(const SequenceViewDef& def, Table* content,
-                                int64_t* n_out) {
-  Table* base = nullptr;
-  {
-    Result<Table*> r = catalog_->GetTable(def.base_table);
-    if (!r.ok()) return r.status();
-    base = *r;
+Row ContentRow(const std::vector<Value>& key, int64_t pos, SeqValue val) {
+  std::vector<Value> values;
+  values.reserve(key.size() + 2);
+  values.insert(values.end(), key.begin(), key.end());
+  values.push_back(Value::Int(pos));
+  values.push_back(Value::Double(val));
+  return Row(std::move(values));
+}
+
+Status ViewManager::CheckNewName(const std::string& view_name) const {
+  if (FindView(view_name) != nullptr || catalog_->HasTable(view_name)) {
+    return Status::AlreadyExists("view " + view_name + " already exists");
   }
+  return Status::OK();
+}
+
+Result<std::vector<ViewManager::ContentPartition>>
+ViewManager::ComputeFromBase(const SequenceViewDef& def,
+                             std::vector<DataType>* key_types) const {
+  Table* base = nullptr;
+  RFV_ASSIGN_OR_RETURN(base, catalog_->GetTable(def.base_table));
+  const Schema& schema = base->schema();
   size_t order_col = 0;
   size_t value_col = 0;
-  {
-    Result<size_t> r = base->schema().FindColumn("", def.order_column);
-    if (!r.ok()) return r.status();
-    order_col = *r;
-    r = base->schema().FindColumn("", def.value_column);
-    if (!r.ok()) return r.status();
-    value_col = *r;
-  }
-  std::vector<size_t> partition_cols;
+  RFV_ASSIGN_OR_RETURN(order_col, schema.FindColumn("", def.order_column));
+  RFV_ASSIGN_OR_RETURN(value_col, schema.FindColumn("", def.value_column));
+  std::vector<size_t> key_cols;
   for (const std::string& name : def.partition_columns) {
-    Result<size_t> r = base->schema().FindColumn("", name);
-    if (!r.ok()) return r.status();
-    partition_cols.push_back(*r);
+    size_t c = 0;
+    RFV_ASSIGN_OR_RETURN(c, schema.FindColumn("", name));
+    key_cols.push_back(c);
+    if (key_types != nullptr) key_types->push_back(schema.column(c).type);
   }
+  std::vector<PositionalGroup> groups;
+  RFV_ASSIGN_OR_RETURN(groups, GroupPositionalRows(*base, key_cols,
+                                                   order_col, value_col));
+  std::vector<ContentPartition> parts;
+  parts.reserve(groups.size());
+  for (PositionalGroup& group : groups) {
+    if (group.first != 1) {
+      return Status::InvalidArgument(
+          "sequence view positions must be dense 1..n; missing position 1");
+    }
+    Sequence seq = BuildCompleteSequence(group.values, def.window, def.fn);
+    parts.push_back(ContentPartition{std::move(group.key), std::move(seq)});
+  }
+  return parts;
+}
 
-  std::vector<PartitionData> partitions;
-  RFV_ASSIGN_OR_RETURN(
-      partitions, ExtractPartitions(*base, order_col, value_col,
-                                    partition_cols));
-
+Result<int64_t> ViewManager::WriteContent(
+    Table* content, const std::vector<ContentPartition>& parts) {
+  std::vector<Row> rows;
+  int64_t max_n = 0;
+  for (const ContentPartition& part : parts) {
+    const Sequence& seq = part.sequence;
+    max_n = std::max(max_n, seq.n());
+    for (int64_t k = seq.first_pos(); k <= seq.last_pos(); ++k) {
+      rows.push_back(ContentRow(part.key, k, seq.at(k)));
+    }
+  }
   // Bracket the truncate-and-refill as one committed statement:
   // concurrent readers keep scanning the previous content snapshot and
   // never observe the empty or half-filled intermediate states.
   Table::WriteGuard guard(content);
   content->Truncate();
-  int64_t max_n = 0;
-  std::vector<Row> rows;
-  for (const PartitionData& part : partitions) {
-    const Sequence seq = BuildCompleteSequence(part.values, def.window, def.fn);
-    max_n = std::max(max_n, seq.n());
-    for (int64_t k = seq.first_pos(); k <= seq.last_pos(); ++k) {
-      Row row;
-      for (const Value& kv : part.key) row.Append(kv);
-      row.Append(Value::Int(k));
-      row.Append(Value::Double(seq.at(k)));
-      rows.push_back(std::move(row));
-    }
-  }
   RFV_RETURN_IF_ERROR(content->InsertBatch(std::move(rows)));
-  // A freshly materialized content table is the cost model's main input;
-  // make its statistics exact (distinct partition keys, tight pos/val
-  // ranges) instead of waiting for an explicit ANALYZE.
+  // Fresh content is the cost model's main input; make its statistics
+  // exact (distinct partition keys, tight pos/val ranges) instead of
+  // waiting for an explicit ANALYZE.
   content->Analyze();
-  *n_out = max_n;
-  return Status::OK();
+  return max_n;
+}
+
+Result<const SequenceViewDef*> ViewManager::Store(
+    SequenceViewDef def, const std::vector<DataType>& key_types,
+    const std::vector<ContentPartition>& parts) {
+  Schema schema;
+  for (size_t i = 0; i < key_types.size(); ++i) {
+    schema.AddColumn(ColumnDef(def.partition_columns[i], key_types[i]));
+  }
+  schema.AddColumn(ColumnDef(kPosColumn, DataType::kInt64));
+  schema.AddColumn(ColumnDef(kValColumn, DataType::kDouble));
+  Table* content = nullptr;
+  RFV_ASSIGN_OR_RETURN(content,
+                       catalog_->CreateTable(def.view_name, std::move(schema)));
+  const Result<int64_t> n = WriteContent(content, parts);
+  Status status = n.status();
+  if (status.ok() && def.indexed) {
+    status = content->CreateIndex(def.view_name + "_pk", kPosColumn);
+  }
+  if (!status.ok()) {
+    (void)catalog_->DropTable(def.view_name);
+    return status;
+  }
+  def.n = *n;
+  if (!def.derived) {
+    NoteFullRefresh(def.view_name, static_cast<int64_t>(content->NumRows()));
+  }
+  views_.push_back(std::make_unique<SequenceViewDef>(std::move(def)));
+  return views_.back().get();
 }
 
 Result<const SequenceViewDef*> ViewManager::CreateSequenceView(
     SequenceViewDef def) {
   def.view_name = ToLower(def.view_name);
-  if (FindView(def.view_name) != nullptr || catalog_->HasTable(def.view_name)) {
-    return Status::AlreadyExists("view " + def.view_name + " already exists");
-  }
-  // Build the content schema: partition columns keep their base types.
-  Table* base = nullptr;
-  {
-    Result<Table*> r = catalog_->GetTable(def.base_table);
-    if (!r.ok()) return r.status();
-    base = *r;
-  }
-  Schema schema;
-  for (const std::string& name : def.partition_columns) {
-    Result<size_t> c = base->schema().FindColumn("", name);
-    if (!c.ok()) return c.status();
-    schema.AddColumn(ColumnDef(name, base->schema().column(*c).type));
-  }
-  schema.AddColumn(ColumnDef("pos", DataType::kInt64));
-  schema.AddColumn(ColumnDef("val", DataType::kDouble));
-
-  Table* content = nullptr;
-  {
-    Result<Table*> r = catalog_->CreateTable(def.view_name, std::move(schema));
-    if (!r.ok()) return r.status();
-    content = *r;
-  }
-  int64_t n = 0;
-  Status status = Materialize(def, content, &n);
-  def.n = n;
-  if (!status.ok()) {
-    (void)catalog_->DropTable(def.view_name);
-    return status;
-  }
-  if (def.indexed) {
-    RFV_RETURN_IF_ERROR(content->CreateIndex(def.view_name + "_pk", "pos"));
-  }
-  NoteFullRefresh(def.view_name, static_cast<int64_t>(content->NumRows()));
-  views_.push_back(std::make_unique<SequenceViewDef>(std::move(def)));
-  return views_.back().get();
+  RFV_RETURN_IF_ERROR(CheckNewName(def.view_name));
+  std::vector<DataType> key_types;
+  std::vector<ContentPartition> parts;
+  RFV_ASSIGN_OR_RETURN(parts, ComputeFromBase(def, &key_types));
+  return Store(std::move(def), key_types, parts);
 }
 
-Result<const SequenceViewDef*> ViewManager::AdoptView(SequenceViewDef def) {
+Result<const SequenceViewDef*> ViewManager::StoreDerivedView(
+    SequenceViewDef def, const PartitionedSequence& sequence) {
   def.view_name = ToLower(def.view_name);
-  if (FindView(def.view_name) != nullptr) {
-    return Status::AlreadyExists("view " + def.view_name +
-                                 " already exists");
+  def.derived = true;
+  RFV_RETURN_IF_ERROR(CheckNewName(def.view_name));
+  std::vector<ContentPartition> parts;
+  parts.reserve(sequence.num_partitions());
+  for (size_t p = 0; p < sequence.num_partitions(); ++p) {
+    const PartitionedSequence::Partition& part = sequence.partition(p);
+    std::vector<Value> key;
+    for (int64_t kv : part.key) key.push_back(Value::Int(kv));
+    parts.push_back(ContentPartition{std::move(key), part.sequence});
   }
-  if (!catalog_->HasTable(def.view_name)) {
-    return Status::NotFound("content table " + def.view_name +
-                            " does not exist");
-  }
-  views_.push_back(std::make_unique<SequenceViewDef>(std::move(def)));
-  return views_.back().get();
+  const std::vector<DataType> key_types(def.partition_columns.size(),
+                                        DataType::kInt64);
+  return Store(std::move(def), key_types, parts);
+}
+
+Result<std::vector<PositionalGroup>> ViewManager::ReadContent(
+    const SequenceViewDef& def) const {
+  Table* content = nullptr;
+  RFV_ASSIGN_OR_RETURN(content, catalog_->GetTable(def.view_name));
+  std::vector<size_t> key_cols(def.partition_columns.size());
+  std::iota(key_cols.begin(), key_cols.end(), size_t{0});
+  return GroupPositionalRows(*content, key_cols, def.pos_column(),
+                             def.val_column());
 }
 
 Status ViewManager::RefreshView(const std::string& view_name) {
@@ -194,14 +225,16 @@ Status ViewManager::RefreshView(const std::string& view_name) {
         "derived views (paper §6 reductions) cannot be refreshed from the "
         "base table; re-derive from the source view instead");
   }
-  Result<Table*> content = catalog_->GetTable(def->view_name);
-  if (!content.ok()) return content.status();
+  Table* content = nullptr;
+  RFV_ASSIGN_OR_RETURN(content, catalog_->GetTable(def->view_name));
+  std::vector<ContentPartition> parts;
+  RFV_ASSIGN_OR_RETURN(parts, ComputeFromBase(*def, nullptr));
   // Fill a local, then publish through the atomic cell: concurrent
   // SELECTs read def->n lock-free while this refresh runs.
   int64_t n = 0;
-  RFV_RETURN_IF_ERROR(Materialize(*def, *content, &n));
+  RFV_ASSIGN_OR_RETURN(n, WriteContent(content, parts));
   def->n = n;
-  NoteFullRefresh(def->view_name, static_cast<int64_t>((*content)->NumRows()));
+  NoteFullRefresh(def->view_name, static_cast<int64_t>(content->NumRows()));
   return Status::OK();
 }
 

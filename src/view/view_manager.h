@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "common/row.h"
 #include "common/status.h"
+#include "sequence/reporting.h"
+#include "sequence/sequence.h"
 #include "storage/catalog.h"
 #include "view/view_def.h"
 
@@ -26,6 +29,19 @@ struct ViewMaintenanceCounters {
   int64_t rows_written = 0;
 };
 
+/// One partition of a positional table (a view's base data or its
+/// content): the partition key and the values at the dense positions
+/// first, first+1, ..., first+values.size()-1.
+struct PositionalGroup {
+  std::vector<Value> key;
+  int64_t first = 1;
+  std::vector<SeqValue> values;
+};
+
+/// One content-table row (view_def.h layout): the partition key, then
+/// pos and val.
+Row ContentRow(const std::vector<Value>& key, int64_t pos, SeqValue val);
+
 /// Registry and materializer for sequence views. Content tables live in
 /// the catalog (so SQL can query them directly); this class owns the
 /// sequence metadata and the materialization / refresh logic.
@@ -39,15 +55,27 @@ class ViewManager {
   /// Materializes a complete sequence view per `def` (def.n is filled
   /// in). Requirements on the base table: `order_column` holds dense
   /// positions 1..n (per partition for partitioned views) — the paper's
-  /// sequences are positional; gaps are a kInvalidArgument error.
+  /// sequences are positional — and `value_column` holds no NULL: the
+  /// sequence algebra has no NULL, and storing one as 0 would let the
+  /// rewriter serve answers that differ from the native window (a MIN
+  /// of 0, an AVG over the wrong count). Gaps, duplicate or NULL
+  /// positions and NULL values are kInvalidArgument errors, also for
+  /// RefreshView.
   /// Errors: kNotFound (base table/columns), kAlreadyExists (view name).
   Result<const SequenceViewDef*> CreateSequenceView(SequenceViewDef def);
 
-  /// Registers metadata for a view whose content table already exists
-  /// in the catalog — used by the §6 reductions (view/reduction.h) that
-  /// derive content from other views rather than from base data.
-  /// Errors: kNotFound (content table missing), kAlreadyExists.
-  Result<const SequenceViewDef*> AdoptView(SequenceViewDef def);
+  /// Registers a view derived by the §6 reductions (view/reduction.h)
+  /// from other views rather than from base data, and stores `sequence`
+  /// as its content through the writer CreateSequenceView uses. Sets
+  /// def.derived and def.n; the partition columns hold the integer
+  /// partition keys. Errors: kAlreadyExists.
+  Result<const SequenceViewDef*> StoreDerivedView(
+      SequenceViewDef def, const PartitionedSequence& sequence);
+
+  /// The stored content of `def`, one group per partition in ascending
+  /// key order (first = the header start).
+  Result<std::vector<PositionalGroup>> ReadContent(
+      const SequenceViewDef& def) const;
 
   /// Recomputes the view content from the base table (full refresh).
   /// Errors: kNotSupported for derived views (their content is not a
@@ -86,9 +114,31 @@ class ViewManager {
   Catalog* catalog() const { return catalog_; }
 
  private:
-  /// Computes and writes the content rows for `def`.
-  Status Materialize(const SequenceViewDef& def, Table* content,
-                     int64_t* n_out);
+  /// A partition's complete sequence, as written to the content table.
+  struct ContentPartition {
+    std::vector<Value> key;
+    Sequence sequence;
+  };
+
+  /// kAlreadyExists when a view or table is named `view_name`.
+  Status CheckNewName(const std::string& view_name) const;
+
+  /// Reads def's base table (grouped, dense, non-NULL) and computes one
+  /// complete sequence per partition; `key_types`, when given, receives
+  /// the base types of the partition columns.
+  Result<std::vector<ContentPartition>> ComputeFromBase(
+      const SequenceViewDef& def, std::vector<DataType>* key_types) const;
+
+  /// Replaces the content of `content` by `parts` as one committed
+  /// statement and analyzes it. Returns the largest n.
+  static Result<int64_t> WriteContent(
+      Table* content, const std::vector<ContentPartition>& parts);
+
+  /// Creates, fills and indexes the content table of `def` and
+  /// registers the view; drops the table again on any error.
+  Result<const SequenceViewDef*> Store(
+      SequenceViewDef def, const std::vector<DataType>& key_types,
+      const std::vector<ContentPartition>& parts);
 
   Catalog* catalog_;
   std::vector<std::unique_ptr<SequenceViewDef>> views_;

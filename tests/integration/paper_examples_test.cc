@@ -78,7 +78,8 @@ TEST(PaperSection22Test, NeighborRelationship) {
   const auto raw = [&](int64_t i) {
     return (i >= 1 && i <= 20) ? x[static_cast<size_t>(i - 1)] : 0.0;
   };
-  const std::vector<SeqValue> seq = ComputeSlidingPipelined(x, spec);
+  const std::vector<SeqValue> seq =
+      BuildCompleteSequence(x, spec, SeqAggFn::kSum).BodyValues();
   for (int64_t k = 2; k <= 20; ++k) {
     EXPECT_EQ(seq[k - 1] + raw(k - spec.l() - 1),
               seq[k - 2] + raw(k + spec.h()))

@@ -16,10 +16,16 @@ std::vector<SeqValue> RandomData(int n, unsigned seed) {
   return x;
 }
 
+/// The query-range values [1, n] of the complete sequence.
+std::vector<SeqValue> Body(const std::vector<SeqValue>& x,
+                           const WindowSpec& spec, SeqAggFn fn) {
+  return BuildCompleteSequence(x, spec, fn).BodyValues();
+}
+
 TEST(ComputeTest, CumulativeBasics) {
-  const std::vector<SeqValue> cum = ComputeCumulative({1, 2, 3, -4});
-  EXPECT_EQ(cum, std::vector<SeqValue>({1, 3, 6, 2}));
-  EXPECT_TRUE(ComputeCumulative({}).empty());
+  EXPECT_EQ(Body({1, 2, 3, -4}, WindowSpec::Cumulative(), SeqAggFn::kSum),
+            std::vector<SeqValue>({1, 3, 6, 2}));
+  EXPECT_TRUE(Body({}, WindowSpec::Cumulative(), SeqAggFn::kSum).empty());
 }
 
 TEST(ComputeTest, NaiveKnownValues) {
@@ -30,22 +36,23 @@ TEST(ComputeTest, NaiveKnownValues) {
 }
 
 TEST(ComputeTest, PipelinedKnownValues) {
-  const std::vector<SeqValue> out = ComputeSlidingPipelined(
-      {1, 2, 3, 4, 5}, WindowSpec::SlidingUnchecked(1, 1));
+  const std::vector<SeqValue> out = Body(
+      {1, 2, 3, 4, 5}, WindowSpec::SlidingUnchecked(1, 1), SeqAggFn::kSum);
   EXPECT_EQ(out, std::vector<SeqValue>({3, 6, 9, 12, 9}));
 }
 
 TEST(ComputeTest, EmptyInput) {
   const WindowSpec spec = WindowSpec::SlidingUnchecked(1, 1);
   EXPECT_TRUE(ComputeSlidingNaive({}, spec).empty());
-  EXPECT_TRUE(ComputeSlidingPipelined({}, spec).empty());
+  EXPECT_TRUE(Body({}, spec, SeqAggFn::kSum).empty());
+  EXPECT_TRUE(Body({}, spec, SeqAggFn::kMin).empty());
 }
 
 TEST(ComputeTest, MinMaxKnownValues) {
   const WindowSpec spec = WindowSpec::SlidingUnchecked(1, 1);
-  EXPECT_EQ(ComputeSlidingMinMax({3, 1, 4, 1, 5}, spec, /*is_min=*/true),
+  EXPECT_EQ(Body({3, 1, 4, 1, 5}, spec, SeqAggFn::kMin),
             std::vector<SeqValue>({1, 1, 1, 1, 1}));
-  EXPECT_EQ(ComputeSlidingMinMax({3, 1, 4, 1, 5}, spec, /*is_min=*/false),
+  EXPECT_EQ(Body({3, 1, 4, 1, 5}, spec, SeqAggFn::kMax),
             std::vector<SeqValue>({3, 4, 4, 5, 5}));
 }
 
@@ -53,9 +60,30 @@ TEST(ComputeTest, MinMaxClipsAtBoundaries) {
   // Boundary windows must NOT see zero padding (all-positive data would
   // otherwise yield a spurious 0 minimum at the edges).
   const WindowSpec spec = WindowSpec::SlidingUnchecked(2, 2);
-  const std::vector<SeqValue> mins =
-      ComputeSlidingMinMax({5, 6, 7, 8}, spec, /*is_min=*/true);
-  EXPECT_EQ(mins, std::vector<SeqValue>({5, 5, 5, 6}));
+  EXPECT_EQ(Body({5, 6, 7, 8}, spec, SeqAggFn::kMin),
+            std::vector<SeqValue>({5, 5, 5, 6}));
+  // The header/trailer windows are clipped the same way.
+  const Sequence seq = BuildCompleteSequence({5, 6, 7, 8}, spec,
+                                             SeqAggFn::kMin);
+  EXPECT_EQ(seq.first_pos(), -1);
+  EXPECT_EQ(seq.at(-1), 5);
+  EXPECT_EQ(seq.at(6), 8);
+}
+
+TEST(ComputeTest, SlidingMinMaxReadsASliceInPlace) {
+  // x_3..x_9 of a longer sequence: the sweep over positions [5, 7]
+  // needs only the clipped windows [3, 9] and matches the values the
+  // complete sequence holds there.
+  const std::vector<SeqValue> x = {4, 9, 2, 7, 7, 1, 8, 3, 6, 5};
+  const WindowSpec spec = WindowSpec::SlidingUnchecked(2, 2);
+  const std::vector<SeqValue> slice(x.begin() + 2, x.begin() + 9);
+  for (const bool is_min : {true, false}) {
+    const Sequence seq = BuildCompleteSequence(
+        x, spec, is_min ? SeqAggFn::kMin : SeqAggFn::kMax);
+    EXPECT_EQ(SlidingMinMax(slice, /*x_first=*/3, /*n=*/10, spec, is_min, 5,
+                            7),
+              std::vector<SeqValue>({seq.at(5), seq.at(6), seq.at(7)}));
+  }
 }
 
 TEST(ComputeTest, CompleteSequenceHeaderTrailerExtent) {
@@ -97,8 +125,9 @@ TEST(ComputeTest, CompleteSequenceEmptyData) {
   EXPECT_EQ(seq.at(1), 0);
 }
 
-// Property sweep: naive == pipelined == complete-sequence body, and the
-// MIN/MAX deque matches a brute-force scan, across window shapes.
+// Property sweep: the pipelined complete-sequence body equals the naive
+// form, and the MIN/MAX deque matches a brute-force scan, across window
+// shapes.
 class ComputeSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -109,12 +138,11 @@ TEST_P(ComputeSweep, AllStrategiesAgree) {
   const std::vector<SeqValue> x = RandomData(n, 1000 + n * 31 + l * 7 + h);
 
   const std::vector<SeqValue> naive = ComputeSlidingNaive(x, spec);
-  EXPECT_EQ(ComputeSlidingPipelined(x, spec), naive);
-  EXPECT_EQ(BuildCompleteSequence(x, spec, SeqAggFn::kSum).BodyValues(),
-            naive);
+  EXPECT_EQ(Body(x, spec, SeqAggFn::kSum), naive);
 
   for (const bool is_min : {true, false}) {
-    const std::vector<SeqValue> fast = ComputeSlidingMinMax(x, spec, is_min);
+    const std::vector<SeqValue> fast =
+        Body(x, spec, is_min ? SeqAggFn::kMin : SeqAggFn::kMax);
     ASSERT_EQ(fast.size(), x.size());
     for (int k = 1; k <= n; ++k) {
       SeqValue extreme = is_min ? 1e300 : -1e300;
@@ -124,10 +152,6 @@ TEST_P(ComputeSweep, AllStrategiesAgree) {
       }
       EXPECT_EQ(fast[k - 1], extreme) << "k=" << k << " min=" << is_min;
     }
-    EXPECT_EQ(
-        BuildCompleteSequence(x, spec, is_min ? SeqAggFn::kMin : SeqAggFn::kMax)
-            .BodyValues(),
-        fast);
   }
 }
 
@@ -141,7 +165,7 @@ TEST(ComputeTest, WindowLargerThanData) {
   const std::vector<SeqValue> x = {1, 2, 3};
   const std::vector<SeqValue> out = ComputeSlidingNaive(x, spec);
   EXPECT_EQ(out, std::vector<SeqValue>({6, 6, 6}));
-  EXPECT_EQ(ComputeSlidingPipelined(x, spec), out);
+  EXPECT_EQ(Body(x, spec, SeqAggFn::kSum), out);
 }
 
 }  // namespace

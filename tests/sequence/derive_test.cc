@@ -89,7 +89,9 @@ TEST(CumulativeFromSlidingTest, MatchesDirectCumulative) {
       x, WindowSpec::SlidingUnchecked(3, 2), SeqAggFn::kSum);
   const Result<std::vector<SeqValue>> cum = CumulativeFromSliding(view);
   ASSERT_TRUE(cum.ok());
-  EXPECT_EQ(*cum, ComputeCumulative(x));
+  EXPECT_EQ(*cum, BuildCompleteSequence(x, WindowSpec::Cumulative(),
+                                        SeqAggFn::kSum)
+                      .BodyValues());
 }
 
 // --- MaxOA (§4) --------------------------------------------------------------
@@ -212,7 +214,9 @@ TEST_P(DeriveSweep, AllAlgorithmsMatchBruteForce) {
   ASSERT_TRUE(RawFromSliding(view).ok());
   EXPECT_EQ(*RawFromSliding(view), x);
   EXPECT_EQ(*RawFromSlidingLinear(view), x);
-  EXPECT_EQ(*CumulativeFromSliding(view), ComputeCumulative(x));
+  EXPECT_EQ(*CumulativeFromSliding(view),
+            BuildCompleteSequence(x, WindowSpec::Cumulative(), SeqAggFn::kSum)
+                .BodyValues());
 
   for (int ly = 0; ly <= 7; ++ly) {
     for (int hy = 0; hy <= 7; ++hy) {
@@ -234,13 +238,15 @@ TEST_P(DeriveSweep, AllAlgorithmsMatchBruteForce) {
       const Result<std::vector<SeqValue>> min_cover =
           DeriveMaxoaMinMax(min_view, qspec);
       if (min_cover.ok()) {
-        EXPECT_EQ(*min_cover, ComputeSlidingMinMax(x, qspec, true))
+        EXPECT_EQ(*min_cover,
+                  BuildCompleteSequence(x, qspec, SeqAggFn::kMin).BodyValues())
             << "MIN cover " << qspec.ToString();
       }
       const Result<std::vector<SeqValue>> max_cover =
           DeriveMaxoaMinMax(max_view, qspec);
       if (max_cover.ok()) {
-        EXPECT_EQ(*max_cover, ComputeSlidingMinMax(x, qspec, false))
+        EXPECT_EQ(*max_cover,
+                  BuildCompleteSequence(x, qspec, SeqAggFn::kMax).BodyValues())
             << "MAX cover " << qspec.ToString();
       }
     }

@@ -59,14 +59,19 @@ TEST(PositionSpaceTest, DomainValidation) {
 
 // --- ordering reduction (§6.1) ------------------------------------------------
 
+/// The cumulative SUM sequence over `raw`, positions 1..n.
+std::vector<SeqValue> Cumulative(const std::vector<SeqValue>& raw) {
+  return BuildCompleteSequence(raw, WindowSpec::Cumulative(), SeqAggFn::kSum)
+      .BodyValues();
+}
+
 TEST(OrderingReductionTest, CumulativeCollapse) {
   // Fine ordering (month, day) with 3 months × 4 days; reduce to months.
   const PositionSpace space({3, 4});
   std::vector<SeqValue> raw(12);
   for (int i = 0; i < 12; ++i) raw[i] = i + 1;
-  const std::vector<SeqValue> fine_cum = ComputeCumulative(raw);
   const Result<std::vector<SeqValue>> coarse =
-      OrderingReductionCumulative(space, fine_cum, 1);
+      OrderingReductionCumulative(space, Cumulative(raw), 1);
   ASSERT_TRUE(coarse.ok());
   // Monthly cumulative = fine cumulative at each month's last day.
   EXPECT_EQ(*coarse, std::vector<SeqValue>({10, 36, 78}));
@@ -76,7 +81,7 @@ TEST(OrderingReductionTest, BlockTotals) {
   const PositionSpace space({3, 4});
   std::vector<SeqValue> raw(12, 1);
   const Result<std::vector<SeqValue>> totals =
-      OrderingReductionBlockTotals(space, ComputeCumulative(raw), 1);
+      OrderingReductionBlockTotals(space, Cumulative(raw), 1);
   ASSERT_TRUE(totals.ok());
   EXPECT_EQ(*totals, std::vector<SeqValue>({4, 4, 4}));
 }
@@ -87,7 +92,7 @@ TEST(OrderingReductionTest, MultiColumnDrop) {
   std::vector<SeqValue> raw(12);
   for (int i = 0; i < 12; ++i) raw[i] = 1;
   const Result<std::vector<SeqValue>> coarse =
-      OrderingReductionCumulative(space, ComputeCumulative(raw), 2);
+      OrderingReductionCumulative(space, Cumulative(raw), 2);
   ASSERT_TRUE(coarse.ok());
   EXPECT_EQ(*coarse, std::vector<SeqValue>({6, 12}));
 }

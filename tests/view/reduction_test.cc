@@ -190,5 +190,16 @@ TEST_F(OrderingReductionTest, BlockTooSmallRejected) {
       StatusCode::kInvalidArgument);
 }
 
+TEST(EmptyOrderingReductionTest, EmptyViewRejected) {
+  Database db;
+  MustExecute(db, "CREATE TABLE e (pos INTEGER, val DOUBLE)");
+  MustExecute(db,
+              "CREATE MATERIALIZED VIEW ecum AS SELECT pos, SUM(val) OVER "
+              "(ORDER BY pos ROWS UNBOUNDED PRECEDING) FROM e");
+  EXPECT_EQ(
+      ReduceViewOrdering(db.view_manager(), "ecum", "c", 2).status().code(),
+      StatusCode::kNotDerivable);
+}
+
 }  // namespace
 }  // namespace rfv

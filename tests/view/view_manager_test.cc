@@ -194,5 +194,59 @@ TEST_F(ViewManagerTest, CumulativeView) {
   EXPECT_EQ(rows.NumRows(), 10u);  // body only: cumulative header is 0
 }
 
+TEST_F(ViewManagerTest, RefreshRejectsNullValueAndKeepsContent) {
+  ASSERT_TRUE(
+      db_.view_manager()->CreateSequenceView(SlidingDef("v", 1, 1)).ok());
+  const ResultSet before = MustExecute(db_, "SELECT pos, val FROM v");
+  MustExecute(db_, "UPDATE seq SET val = NULL WHERE pos = 5");
+  EXPECT_EQ(db_.view_manager()->RefreshView("v").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(testutil::RowsEqual(MustExecute(db_, "SELECT pos, val FROM v"),
+                                  before));
+}
+
+/// Views over NULL values. The sequence algebra has no NULL; stored as
+/// 0, a NULL made the rewriter serve MIN 0/0/0/7 and AVG 2.5/4/5/7.5
+/// where the native window gives 5/5/7/7 and 5/6/7.5/7.5.
+class NullValueViewTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MustExecute(db_, "CREATE TABLE t (pos INTEGER, val DOUBLE)");
+    MustExecute(db_, "INSERT INTO t VALUES (1, 5), (2, NULL), (3, 7), (4, 8)");
+  }
+
+  /// Creating a `view_fn` (1,1) view fails with kInvalidArgument and
+  /// registers nothing, so a `query_fn` (1,1) query answers natively.
+  void ExpectRejected(const std::string& view_fn, const std::string& query_fn,
+                      const std::vector<double>& want) {
+    const std::string frame =
+        "(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 "
+        "FOLLOWING) FROM t";
+    const Result<ResultSet> created = db_.Execute(
+        "CREATE MATERIALIZED VIEW v AS SELECT pos, " + view_fn + frame);
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(db_.view_manager()->FindView("v"), nullptr);
+    EXPECT_FALSE(db_.catalog()->HasTable("v"));
+    const ResultSet rs =
+        MustExecute(db_, "SELECT pos, " + query_fn + frame);
+    EXPECT_EQ(rs.rewrite_method(), "");
+    ASSERT_EQ(rs.NumRows(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_DOUBLE_EQ(rs.at(i, 1).ToDouble(), want[i]) << "row " << i;
+    }
+  }
+
+  Database db_;
+};
+
+TEST_F(NullValueViewTest, MinViewRejected) {
+  ExpectRejected("MIN", "MIN", {5, 5, 7, 7});
+}
+
+TEST_F(NullValueViewTest, SumViewRejectedSoAvgStaysNative) {
+  ExpectRejected("SUM", "AVG", {5, 6, 7.5, 7.5});
+}
+
 }  // namespace
 }  // namespace rfv
